@@ -53,8 +53,6 @@ from .solver import (
     NoisyProblem,
     SolveReport,
     StoppingRule,
-    T0Result,
-    choose_t0,
     discrepancy,
     discrepancy_derivative,
     evolution_filter,
@@ -85,7 +83,6 @@ __all__ = [
     "SolveReport",
     "SpectralFactorization",
     "StoppingRule",
-    "T0Result",
     "TestProblem",
     "UnattainableDiscrepancy",
     "UnstableStep",
@@ -94,7 +91,6 @@ __all__ = [
     "adjoint_apply",
     "apply",
     "blur_periodic",
-    "choose_t0",
     "circular_convolve",
     "deconvolve_1d",
     "deconvolve_2d",

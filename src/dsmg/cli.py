@@ -8,16 +8,13 @@ Subcommands:
 
 Matrix and vector files are plain text: first line "m n", then m rows of n
 whitespace-separated decimals (vectors are m x 1 or 1 x n). Exit codes:
-0 success, 2 parse or usage error, 3 solver error. The DSMG_THREADS
-environment variable sets the benchmark worker count (default 1); output
-row order is deterministic regardless.
+0 success, 2 parse or usage error, 3 solver error. Reruns with the same
+arguments reproduce CSV and PGM outputs byte for byte.
 """
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +29,6 @@ from .problems import NoiseSpec, add_noise, second_derivative_problem
 from .solver import AprioriRule, DiscrepancyRule, NoisyProblem, solve
 
 CSV_SCHEMA = 1
-THREADS_ENV_VAR = "DSMG_THREADS"
 
 SOLUTION_CHOICES = {
     "sin_pi": lambda t: math.sin(math.pi * t),
@@ -128,7 +124,6 @@ def cmd_solve(args) -> int:
     report = solve(problem, rule)
     print(f"t_delta = {_format(report.t_delta)}")
     print(f"newton_iterations = {report.newton_iterations}")
-    print(f"t0_probes = {report.t0_probes}")
     print(f"residual_norm = {_format(report.residual_norm)}")
     print(f"rule = {report.rule_used}")
     if report.diagnostics:
@@ -162,27 +157,15 @@ def _bench_cell(problem, fact, delta_rel, seed, C):
     return rows
 
 
-def run_derivative_bench(n_values, u_choice, delta_rel, seeds, C, workers=1):
+def run_derivative_bench(n_values, u_choice, delta_rel, seeds, C):
     """Benchmark sweep; rows come back sorted by (N, method, seed)."""
     u_fn = SOLUTION_CHOICES[u_choice]
-    prepared = []
+    rows = []
     for n in n_values:
         problem = second_derivative_problem(n, u_fn)
         fact = factorize_svd(problem.matrix)
-        prepared.extend((problem, fact, seed) for seed in seeds)
-    if workers > 1 and prepared:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_bench_cell, problem, fact, delta_rel, seed, C)
-                for problem, fact, seed in prepared
-            ]
-            nested = [f.result() for f in futures]
-    else:
-        nested = [
-            _bench_cell(problem, fact, delta_rel, seed, C)
-            for problem, fact, seed in prepared
-        ]
-    rows = [row for cell in nested for row in cell]
+        for seed in seeds:
+            rows.extend(_bench_cell(problem, fact, delta_rel, seed, C))
     rows.sort(key=lambda r: (r.N, r.method, r.seed))
     return rows
 
@@ -210,8 +193,7 @@ def cmd_derivative_bench(args) -> int:
         seeds = _parse_int_list(args.seeds)
     except ValueError as exc:
         raise MalformedFile(f"bad integer list: {exc}", 0) from None
-    workers = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    rows = run_derivative_bench(n_values, args.u, args.delta_rel, seeds, args.C, workers)
+    rows = run_derivative_bench(n_values, args.u, args.delta_rel, seeds, args.C)
     sys.stdout.write(rows_to_csv(rows))
     if any(row.iterations < 0 for row in rows):
         print("error: one or more benchmark cells failed (iterations=-1)", file=sys.stderr)
@@ -232,7 +214,6 @@ def cmd_deblur(args) -> int:
     write_pgm(restored, args.out)
     print(f"t_delta = {_format(report.t_delta)}")
     print(f"newton_iterations = {report.newton_iterations}")
-    print(f"t0_probes = {report.t0_probes}")
     print(f"residual_norm = {_format(report.residual_norm)}")
     print(f"restored = {args.out}")
     if args.truth is not None:
@@ -265,12 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--u0", default="zero", help="'zero' or a vector file")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bench = sub.add_parser(
-        "derivative-bench",
-        help="benchmark sweep, CSV on stdout",
-        epilog=f"Set {THREADS_ENV_VAR}=<n> to run cells in parallel; "
-               "output order and bytes are deterministic regardless.",
-    )
+    p_bench = sub.add_parser("derivative-bench", help="benchmark sweep, CSV on stdout")
     p_bench.add_argument("--N", default="10,20,30,40,50,60,70,80,90,100",
                          help="comma-separated problem sizes")
     p_bench.add_argument("--u", choices=sorted(SOLUTION_CHOICES), default="sin_2pi")

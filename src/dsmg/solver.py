@@ -7,9 +7,10 @@ solution path: given A = U S V*, the state at time t and the residual norm
 
 have closed spectral forms, so picking the stopping time reduces to scalar
 root finding. ``solve`` supports two stopping rules: the discrepancy
-principle psi(t) = C * delta solved by Newton's method (psi is strictly
-decreasing and strictly convex whenever the data have a component outside
-the null space of A*), and the a priori time t = C / delta**gamma.
+principle psi(t) = C * delta solved by Newton's method on log psi from
+t = 0, one fused pass over the spectrum per iteration (log psi is convex and
+decreasing, so the iterates rise monotonically to the root), and the a
+priori time t = C / delta**gamma.
 ``landweber_integrate`` is the explicit-Euler integrator of the same flow,
 kept as a slow independent cross-check.
 """
@@ -40,11 +41,8 @@ from .linalg import (
 
 NEWTON_TOL_REL = 1e-8
 NEWTON_MAX_ITER = 100
-T0_MAX_PROBES = 200
-T_CLAMP = 1e300
 
 FLAG_DISCREPANCY_AT_START = "discrepancy_already_satisfied_at_t0"
-FLAG_PROBE_FALLBACK = "t0_probe_budget_exceeded_bisection_fallback"
 
 
 @dataclass(frozen=True)
@@ -162,12 +160,7 @@ class NewtonResult(NamedTuple):
     t_delta: float
     iterations: int
     iterates: tuple
-
-
-class T0Result(NamedTuple):
-    t0: float
-    probes: int
-    used_fallback: bool
+    residual_norm: float
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,6 @@ class SolveReport:
     solution: np.ndarray
     residual_norm: float
     newton_iterations: int
-    t0_probes: int
     rule_used: StoppingRule
     diagnostics: tuple = field(default=())
 
@@ -237,6 +229,29 @@ def _scaled_norm(values: np.ndarray) -> float:
     return scale * float(np.linalg.norm(values / scale))
 
 
+def _residual_pass(problem: NoisyProblem, t: float) -> tuple[float, float]:
+    """psi(t) and psi'(t) from one pass over the spectrum.
+
+    The damping exp(-t*lam) is real, so only the moduli of the residual
+    coefficients enter. They are rescaled by their maximum before squaring,
+    so the squares underflow only where they are negligible. psi' is
+    reported as 0 when psi itself is 0.
+    """
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"t={t} must be nonnegative and finite")
+    lam = problem.spectrum_m
+    damped = lam * -t
+    np.exp(damped, out=damped)
+    damped *= np.abs(problem.initial_residual_coefficients)
+    scale = float(damped.max(initial=0.0))
+    if scale == 0.0:
+        return 0.0, 0.0
+    damped /= scale
+    damped *= damped
+    norm = math.sqrt(float(damped.sum()))
+    return scale * norm, -scale * float(np.dot(lam, damped)) / norm
+
+
 def discrepancy(problem: NoisyProblem, t: float) -> float:
     """Residual norm psi(t) = ||A u(t) - f_delta|| evaluated spectrally.
 
@@ -244,23 +259,15 @@ def discrepancy(problem: NoisyProblem, t: float) -> float:
     psi decreases monotonically from ||A u0 - f_delta|| to the residual
     floor as t grows.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"t={t} must be nonnegative and finite")
-    damped = np.exp(-t * problem.spectrum_m) * problem.initial_residual_coefficients
-    return _scaled_norm(damped)
+    return _residual_pass(problem, t)[0]
 
 
 def discrepancy_derivative(problem: NoisyProblem, t: float) -> float:
     """d psi / dt, strictly negative while any decaying mode carries residual."""
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"t={t} must be nonnegative and finite")
-    damped = np.exp(-t * problem.spectrum_m) * problem.initial_residual_coefficients
-    scale = float(np.max(np.abs(damped), initial=0.0))
-    if scale == 0.0:
+    psi, dpsi = _residual_pass(problem, t)
+    if psi == 0.0:
         raise DegenerateResidual("residual norm is zero; derivative undefined")
-    scaled = damped / scale
-    weighted = float(np.sum(problem.spectrum_m * np.abs(scaled) ** 2))
-    return -scale * weighted / float(np.linalg.norm(scaled))
+    return dpsi
 
 
 def _check_attainable(problem: NoisyProblem, target: float) -> None:
@@ -271,146 +278,54 @@ def _check_attainable(problem: NoisyProblem, target: float) -> None:
         )
 
 
-def newton_solve_t(problem: NoisyProblem, C: float, t0: float) -> NewtonResult:
-    """Solve psi(t) = C * delta by Newton's method started at t0.
+def newton_solve_t(problem: NoisyProblem, C: float) -> NewtonResult:
+    """Solve psi(t) = C * delta by Newton's method on log psi started at t = 0.
 
-    Requires psi(t0) > C * delta. Because psi is decreasing and strictly
-    convex, the iterates increase monotonically toward the root; each step
-    is clipped if floating-point noise would push the residual materially
-    below the target, with a bisection step after two consecutive clips.
-    Returns the root, the iteration count, and the iterate trace.
+    log psi(t) = 1/2 log sum_i exp(-2 t lam_i) |r_i|^2 is a log-sum-exp of
+    affine functions of t, hence convex and decreasing: every Newton step
+    from a point left of the root stays left of it, so the iterates rise
+    monotonically, and on a single mode the first step is exact. Each
+    iteration costs one pass for psi and psi' together. A step that rounding
+    carries materially past the root is replaced by bisection between the
+    last point above the target and the overshooting one. Returns the root,
+    the iteration count, the rising trace of points above the target ending
+    at the root, and psi at the root.
     """
     target = C * problem.delta
     tol = NEWTON_TOL_REL * target
     _check_attainable(problem, target)
-    t = float(t0)
-    gap = discrepancy(problem, t) - target
-    if gap <= 0:
+    t = 0.0
+    psi, dpsi = _residual_pass(problem, t)
+    if psi <= target:
         raise PreconditionViolated(
-            f"psi(t0)={gap + target:.6e} must exceed C*delta={target:.6e}"
+            f"psi(0)={psi:.6e} <= C*delta={target:.6e}; no positive root exists"
         )
-    iterates = [t]
-    lower = t
-    upper = None
-    consecutive_clips = 0
-    for iteration in range(1, NEWTON_MAX_ITER + 1):
-        if abs(gap) <= tol:
-            return NewtonResult(t, iteration - 1, tuple(iterates))
-        slope = discrepancy_derivative(problem, t)
-        if slope >= 0.0 or not math.isfinite(slope):
+    upper = math.inf
+    iterates = []
+    iterations = 0
+    while abs(psi - target) > tol:
+        if iterations == NEWTON_MAX_ITER:
             raise IterationBudgetExceeded(
-                f"residual slope degenerated to {slope} at t={t:.6e}"
+                f"Newton did not reach |psi - C*delta| <= {tol:.3e} "
+                f"in {NEWTON_MAX_ITER} iterations"
             )
-        t_next = t - gap / slope
-        if not math.isfinite(t_next):
-            t_next = t * 10.0
-        gap_next = discrepancy(problem, t_next) - target
-        if gap_next < -tol:
-            upper = t_next
-            consecutive_clips += 1
-            if consecutive_clips >= 2:
-                t_next = 0.5 * (lower + upper)
-            else:
-                for _ in range(80):
-                    t_next = 0.5 * (t + t_next)
-                    gap_next = discrepancy(problem, t_next) - target
-                    if gap_next >= -tol:
-                        break
-            gap_next = discrepancy(problem, t_next) - target
+        iterations += 1
+        if psi > target:
+            if not dpsi < 0.0:
+                raise IterationBudgetExceeded(f"residual slope degenerated to {dpsi} at t={t:.6e}")
+            lower, lower_psi, lower_dpsi = t, psi, dpsi
+            iterates.append(t)
         else:
-            consecutive_clips = 0
-        t, gap = t_next, gap_next
-        if gap > 0:
-            lower = t
-        iterates.append(t)
-    if abs(gap) <= tol:
-        return NewtonResult(t, NEWTON_MAX_ITER, tuple(iterates))
-    raise IterationBudgetExceeded(
-        f"Newton did not reach |psi - C*delta| <= {tol:.3e} in {NEWTON_MAX_ITER} iterations"
-    )
-
-
-def choose_t0(problem: NoisyProblem, C: float) -> T0Result:
-    """Probe for a Newton starting time with psi(t0) > C * delta.
-
-    Starts at 10 * psi(0) / delta and walks by factors of 10 and 3: shrink
-    while the residual has already fallen below delta (by 10 before any
-    above-band probe was seen, by 3 after), grow by 3 while it still exceeds
-    2 * delta and no undershoot was seen, stop as soon as the probe lands in
-    the band (delta, 2*delta] or brackets it from both sides. The accepted
-    point is then shrunk by 3 until psi(t0) strictly exceeds C * delta.
-    If the probe budget runs out, a bisection on [0, t] recovers a valid
-    starting point and the result is flagged.
-    """
-    delta = problem.delta
-    target = C * delta
-    resid_start = discrepancy(problem, 0.0)
-    if resid_start <= target:
-        raise PreconditionViolated(
-            f"psi(0)={resid_start:.6e} <= C*delta={target:.6e}; no positive root exists"
-        )
-    t = min(10.0 * resid_start / delta, T_CLAMP)
-    probes = 0
-    seen_undershoot = False
-    seen_overshoot = False
-    accepted = None
-    accepted_resid = None
-    while probes < T0_MAX_PROBES:
-        probes += 1
-        resid = discrepancy(problem, t)
-        band_gap = resid - delta
-        if 0.0 < band_gap <= delta:
-            accepted, accepted_resid = t, resid
-            break
-        if band_gap <= 0.0:
-            seen_undershoot = True
-            t /= 3.0 if seen_overshoot else 10.0
-        else:
-            if seen_undershoot:
-                accepted, accepted_resid = t, resid
-                break
-            seen_overshoot = True
-            t = min(t * 3.0, T_CLAMP)
-    used_fallback = accepted is None
-    if used_fallback:
-        accepted, accepted_resid, extra = _bisect_t0(problem, delta, target, t)
-        probes += extra
-    for _ in range(1000):
-        if accepted_resid > target:
-            return T0Result(accepted, probes, used_fallback)
-        accepted /= 3.0
-        probes += 1
-        accepted_resid = discrepancy(problem, accepted)
-    raise IterationBudgetExceeded(
-        "could not back off to a starting time with psi(t0) > C*delta"
-    )
-
-
-def _bisect_t0(problem: NoisyProblem, delta: float, target: float, hi: float):
-    """Bisection on [0, hi] driving the left end into (target, 2*delta].
-
-    Keeps psi(lo) > target throughout, so the returned point always satisfies
-    the Newton precondition; the generous iteration cap lets the bracket
-    collapse from any double-precision scale down to the band width, leaving
-    Newton a start close to the root even when the probe walk ran out of
-    budget.
-    """
-    lo = 0.0
-    resid_lo = discrepancy(problem, lo)
-    evals = 1
-    for _ in range(1200):
-        if resid_lo <= 2.0 * delta:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        resid_mid = discrepancy(problem, mid)
-        evals += 1
-        if resid_mid > target:
-            lo, resid_lo = mid, resid_mid
-        else:
-            hi = mid
-    return lo, resid_lo, evals
+            upper = t
+        # log(psi) - log(target), not log(psi / target): the ratio can overflow
+        t = lower + (math.log(lower_psi) - math.log(target)) * lower_psi / -lower_dpsi
+        if not lower < t < math.inf:
+            raise IterationBudgetExceeded(f"Newton step from t={lower:.6e} made no progress")
+        if t >= upper:
+            t = 0.5 * (lower + upper)
+        psi, dpsi = _residual_pass(problem, t)
+    iterates.append(t)
+    return NewtonResult(t, iterations, tuple(iterates), psi)
 
 
 def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
@@ -429,7 +344,6 @@ def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
             solution=state,
             residual_norm=discrepancy(problem, t_stop),
             newton_iterations=0,
-            t0_probes=0,
             rule_used=rule,
         )
     if not isinstance(rule, DiscrepancyRule):
@@ -442,23 +356,16 @@ def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
             solution=np.array(problem.u0),
             residual_norm=resid_start,
             newton_iterations=0,
-            t0_probes=0,
             rule_used=rule,
             diagnostics=(FLAG_DISCREPANCY_AT_START,),
         )
-    _check_attainable(problem, target)
-    start = choose_t0(problem, rule.C)
-    newton = newton_solve_t(problem, rule.C, start.t0)
-    state = solution_at(problem, newton.t_delta)
-    flags = (FLAG_PROBE_FALLBACK,) if start.used_fallback else ()
+    newton = newton_solve_t(problem, rule.C)
     return SolveReport(
         t_delta=newton.t_delta,
-        solution=state,
-        residual_norm=discrepancy(problem, newton.t_delta),
+        solution=solution_at(problem, newton.t_delta),
+        residual_norm=newton.residual_norm,
         newton_iterations=newton.iterations,
-        t0_probes=start.probes,
         rule_used=rule,
-        diagnostics=flags,
     )
 
 

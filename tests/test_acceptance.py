@@ -19,7 +19,6 @@ from dsmg import (
     NoisyProblem,
     add_noise,
     blur_periodic,
-    choose_t0,
     circular_convolve,
     deconvolve_1d,
     discrepancy,
@@ -113,8 +112,7 @@ def test_criterion_03_discrepancy_contract():
             target = C * delta
             if discrepancy(problem, 0.0) <= target:
                 continue
-            start = choose_t0(problem, C)
-            result = newton_solve_t(problem, C, start.t0)
+            result = newton_solve_t(problem, C)
             assert abs(discrepancy(problem, result.t_delta) - target) <= 1e-8 * target
             trace = np.array(result.iterates)
             assert np.all(np.diff(trace) >= 0)

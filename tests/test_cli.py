@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dsmg import GrayImage, NoiseSpec, add_noise, blur_periodic, gaussian_psf, read_pgm, synthetic_target, write_pgm
-from dsmg.cli import main, rows_to_csv, run_derivative_bench
+from dsmg.cli import main, run_derivative_bench
 
 
 def write_text(path, content):
@@ -105,11 +105,6 @@ class TestDerivativeBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
-    def test_threaded_run_matches_serial(self, monkeypatch):
-        serial = rows_to_csv(run_derivative_bench([10, 20], "sin_2pi", 0.01, [0, 1], 1.1, workers=1))
-        threaded = rows_to_csv(run_derivative_bench([10, 20], "sin_2pi", 0.01, [0, 1], 1.1, workers=4))
-        assert serial == threaded
-
     def test_bad_n_list_exits_2(self, capsys):
         assert main(["derivative-bench", "--N", "10,twenty"]) == 2
 
@@ -123,16 +118,6 @@ class TestDerivativeBench:
         assert code == 3
         marked = [line for line in captured.out.splitlines() if ",-1," in line]
         assert any(line.split(",")[1] == "vr" for line in marked)
-
-    def test_thread_env_var_respected(self, capsys, monkeypatch):
-        args = ["derivative-bench", "--N", "10,20", "--seeds", "0,1"]
-        monkeypatch.delenv("DSMG_THREADS", raising=False)
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("DSMG_THREADS", "3")
-        assert main(args) == 0
-        threaded = capsys.readouterr().out
-        assert serial == threaded
 
 
 class TestDeblur:

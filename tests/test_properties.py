@@ -9,7 +9,6 @@ from conftest import random_matrix, random_problem
 from dsmg import (
     DiscrepancyRule,
     NoisyProblem,
-    choose_t0,
     discrepancy,
     discrepancy_derivative,
     evolution_filter,
@@ -82,8 +81,7 @@ def test_newton_iterates_monotone_and_converged():
     for seed in range(20):
         problem = random_problem(seed + 3000, m=6, n=6, sing_lo=0.02, sing_hi=2.0)
         C = 1.1 + 0.04 * seed  # spread over (1, 2)
-        start = choose_t0(problem, C)
-        result = newton_solve_t(problem, C, start.t0)
+        result = newton_solve_t(problem, C)
         trace = np.array(result.iterates)
         assert np.all(np.diff(trace) >= 0)
         target = C * problem.delta

@@ -11,12 +11,14 @@ from dsmg import (
     DegenerateResidual,
     DiscrepancyRule,
     DomainError,
+    DsmgError,
+    NoiseSpec,
     NoisyProblem,
     PreconditionViolated,
     UnattainableDiscrepancy,
     UnstableStep,
+    add_noise,
     apply,
-    choose_t0,
     discrepancy,
     discrepancy_derivative,
     evolution_filter,
@@ -25,9 +27,11 @@ from dsmg import (
     landweber_integrate,
     minimal_norm_solution,
     newton_solve_t,
+    second_derivative_problem,
     solution_at,
     solve,
 )
+from dsmg import solver
 from dsmg.solver import FLAG_DISCREPANCY_AT_START
 
 
@@ -153,7 +157,7 @@ class TestDiscrepancyDerivative:
         assert discrepancy_derivative(problem, 1.0) == 0.0
         assert discrepancy(problem, 0.0) == discrepancy(problem, 10.0) == 1.0
         with pytest.raises(UnattainableDiscrepancy):
-            newton_solve_t(problem, 1.5, 1.0)
+            newton_solve_t(problem, 1.5)
 
     def test_finite_difference_agreement(self):
         problem = random_problem(8, m=6, n=6, sing_lo=0.3, sing_hi=1.2)
@@ -175,8 +179,7 @@ class TestDiscrepancyDerivative:
 class TestNewton:
     def test_scalar_analytic_root(self):
         problem = scalar_problem(delta=0.01)
-        start = choose_t0(problem, 1.5)
-        result = newton_solve_t(problem, 1.5, start.t0)
+        result = newton_solve_t(problem, 1.5)
         expected = math.log(1.0 / 0.015)
         assert abs(result.t_delta - expected) <= 1e-8 * expected
         assert result.iterations <= 30
@@ -184,8 +187,7 @@ class TestNewton:
     @pytest.mark.parametrize("C", [1.05, 1.3, 1.5, 1.9])
     def test_residual_hits_target(self, C):
         problem = scalar_problem(delta=0.01)
-        start = choose_t0(problem, C)
-        result = newton_solve_t(problem, C, start.t0)
+        result = newton_solve_t(problem, C)
         target = C * problem.delta
         assert abs(discrepancy(problem, result.t_delta) - target) <= 1e-8 * target
 
@@ -213,68 +215,83 @@ class TestNewton:
             if hi - lo < 1e-10:
                 break
         oracle_root = 0.5 * (lo + hi)
-        start = choose_t0(problem, C)
-        result = newton_solve_t(problem, C, start.t0)
+        result = newton_solve_t(problem, C)
         assert abs(result.t_delta - oracle_root) <= 1e-5
 
     def test_precondition_violated(self):
-        problem = scalar_problem(delta=0.01)
-        # psi(10) = e^-10 well below C*delta
+        # the start point already fits the data: psi(0) = 0.005 < C*delta
+        problem = NoisyProblem(
+            from_diagonal([1.0]), np.array([1.0]), delta=0.01, u0=np.array([0.995])
+        )
         with pytest.raises(PreconditionViolated):
-            newton_solve_t(problem, 1.5, 10.0)
+            newton_solve_t(problem, 1.5)
 
     def test_iterates_nondecreasing(self):
         for seed in range(10):
             problem = random_problem(seed + 200, m=6, n=6, sing_lo=0.05, sing_hi=2.0)
-            start = choose_t0(problem, 1.2)
-            result = newton_solve_t(problem, 1.2, start.t0)
+            result = newton_solve_t(problem, 1.2)
             trace = np.array(result.iterates)
             assert np.all(np.diff(trace) >= 0)
 
 
-class TestChooseT0:
-    def test_scalar_lands_in_band_or_above_target(self):
+class TestNewtonFromZero:
+    def test_single_mode_exact_in_one_step(self):
+        # log psi is affine on one mode, so the first Newton step is the root
         problem = scalar_problem(delta=0.01)
-        C = 1.5
-        result = choose_t0(problem, C)
-        resid = discrepancy(problem, result.t0)
-        in_band = problem.delta < resid <= 2 * problem.delta
-        assert in_band or resid > C * problem.delta
-        assert resid > C * problem.delta  # Newton precondition always holds
+        result = newton_solve_t(problem, 1.5)
+        assert result.iterations == 1
+        assert result.iterates[0] == 0.0
 
-    def test_immediate_acceptance_single_probe(self):
-        # engineered so the very first probe lands in (delta, 2*delta] and
-        # already exceeds C*delta: slow mode carrying 1.5*delta of data
-        fact = from_diagonal([1.0, math.sqrt(1e-9)])
-        problem = NoisyProblem(fact, np.array([1.0, 0.015]), delta=0.01)
-        result = choose_t0(problem, 1.2)
-        assert result.probes == 1
-        assert not result.used_fallback
-
-    def test_probe_outputs_positive_finite(self):
-        for seed in range(10):
-            problem = random_problem(seed + 300, m=5, n=5, sing_lo=0.01, sing_hi=3.0)
-            result = choose_t0(problem, 1.1)
-            assert math.isfinite(result.t0) and result.t0 > 0
-            assert 1 <= result.probes <= 400
+    def test_tiny_noise_bound_solves(self):
+        # an astronomically small noise bound puts the root far from t = 0
+        problem = scalar_problem(delta=1e-220)
+        result = newton_solve_t(problem, 1.5)
+        target = 1.5 * problem.delta
+        expected = math.log(1.0 / target)
+        assert abs(result.t_delta - expected) <= 1e-8 * expected
+        assert result.iterations <= 30
+        assert abs(result.residual_norm - target) <= 1e-8 * target
 
     def test_precondition_violated_when_no_root(self):
         problem = scalar_problem(f=0.001, delta=0.01)
         with pytest.raises(PreconditionViolated):
-            choose_t0(problem, 1.5)
+            newton_solve_t(problem, 1.5)
 
-    def test_probe_budget_fallback_still_solves(self):
-        # an astronomically small noise bound exhausts the factor-of-10 walk;
-        # the flagged bisection fallback must still hand Newton a good start
-        problem = scalar_problem(delta=1e-220)
-        result = choose_t0(problem, 1.5)
-        assert result.used_fallback
-        target = 1.5 * problem.delta
-        assert discrepancy(problem, result.t0) > target
-        newton = newton_solve_t(problem, 1.5, result.t0)
-        expected = math.log(1.0 / target)
-        assert abs(newton.t_delta - expected) <= 1e-8 * expected
-        assert newton.iterations <= 30
+    def test_one_pass_per_iteration(self, monkeypatch):
+        problem = random_problem(300, m=8, n=8, sing_lo=0.01, sing_hi=3.0)
+        calls = []
+        original = solver._residual_pass
+
+        def counted(p, t):
+            calls.append(t)
+            return original(p, t)
+
+        monkeypatch.setattr(solver, "_residual_pass", counted)
+        result = newton_solve_t(problem, 1.1)
+        assert len(calls) == result.iterations + 1
+
+    def test_overshoot_is_bisected_back(self, monkeypatch):
+        # halving the reported slope doubles every Newton step, so steps land
+        # past the root; the safeguard must still calibrate with a rising trace
+        problem = random_problem(301, m=8, n=8, sing_lo=0.01, sing_hi=3.0)
+        original = solver._residual_pass
+
+        def understated(p, t):
+            psi, dpsi = original(p, t)
+            return psi, 0.5 * dpsi
+
+        monkeypatch.setattr(solver, "_residual_pass", understated)
+        result = newton_solve_t(problem, 1.1)
+        target = 1.1 * problem.delta
+        assert abs(discrepancy(problem, result.t_delta) - target) <= 1e-8 * target
+        assert np.all(np.diff(result.iterates) >= 0)
+
+    def test_reported_residual_is_psi_at_root(self):
+        for seed in range(10):
+            problem = random_problem(seed + 300, m=5, n=5, sing_lo=0.01, sing_hi=3.0)
+            result = newton_solve_t(problem, 1.1)
+            assert result.residual_norm == discrepancy(problem, result.t_delta)
+            assert math.isfinite(result.t_delta) and result.t_delta > 0
 
 
 class TestSolve:
@@ -326,6 +343,21 @@ class TestSolve:
         assert abs(report.residual_norm - target) <= 1e-8 * target
         direct = np.linalg.norm(apply(problem.factorization, report.solution) - problem.f_delta)
         assert abs(direct - report.residual_norm) <= 1e-10 * direct
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-120, 1e-100, 1.0, 1e100, 1e120, 1e150])
+    def test_extreme_scale_calibrates_or_raises_typed(self, scale):
+        # scaling (A, f, delta) together must never leak an untyped error or
+        # a non-finite time; scale equivariance itself is not asserted here
+        base = second_derivative_problem(50, lambda x: math.sin(2.0 * math.pi * x))
+        rhs, delta = add_noise(base.exact_rhs, NoiseSpec(0.01, 0))
+        problem = NoisyProblem(factorize_svd(scale * base.matrix), scale * rhs, scale * delta)
+        target = 1.1 * problem.delta
+        try:
+            report = solve(problem, DiscrepancyRule(C=1.1))
+        except DsmgError:
+            return
+        assert math.isfinite(report.t_delta)
+        assert abs(report.residual_norm - target) <= 1e-8 * target
 
     def test_report_residual_recomputable(self):
         for seed in range(5):
