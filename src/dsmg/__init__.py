@@ -23,7 +23,6 @@ from .deconvolution import (
     synthetic_target,
 )
 from .errors import (
-    BracketFailure,
     ComplexResidue,
     DegenerateResidual,
     DimensionMismatch,
@@ -64,7 +63,6 @@ from .solver import (
 
 __all__ = [
     "AprioriRule",
-    "BracketFailure",
     "CirculantProblem",
     "ComplexResidue",
     "DegenerateResidual",

@@ -2,25 +2,23 @@
 
 Implemented spectrally on the same factorization as the gradient-flow solver,
 so parameter-search effort is directly comparable: the filter is
-conj(s_i) / (|s_i|^2 + alpha) and the residual norm
+conj(s_i) / (|s_i|^2 + alpha) and, with beta = 1 / alpha, the residual norm is
 
-    psi_vr(alpha) = || diag(alpha / (|s_i|^2 + alpha)) U* f_delta ||
+    psi_vr(beta) = || diag(1 / (1 + |s_i|^2 beta)) U* f_delta ||.
 
-is strictly increasing in alpha, so alpha is found by bisection on log(alpha).
+log psi_vr(beta) = 1/2 log sum_i exp(-2 log(1 + lam_i beta)) |b_i|^2 is a
+log-sum-exp of convex functions of beta, hence convex, and it is
+decreasing, so beta is found by the gradient-flow solver's Newton search on
+log psi from beta = 0, over passes of the same residual kernel.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, IterationBudgetExceeded, UnattainableDiscrepancy
+from .errors import DomainError, PreconditionViolated
 from .linalg import _left_multiply
-from .solver import NoisyProblem
-
-VR_TOL_REL = 1e-8
-VR_MAX_BISECTIONS = 500
-BRACKET_LO_FACTOR = 1e-16
-BRACKET_HI_FACTOR = 1e4
+from .solver import NoisyProblem, _newton_on_log_psi, _norm_and_slope, _scaled_norm
 
 
 @dataclass(frozen=True)
@@ -30,12 +28,22 @@ class VRReport:
     alpha: float
     solution: np.ndarray
     residual_norm: float
-    bisection_iterations: int
+    newton_iterations: int
 
 
-def _vr_residual(problem: NoisyProblem, alpha: float) -> float:
-    gains = alpha / (problem.spectrum_m + alpha)
-    return float(np.linalg.norm(gains * problem.rhs_coefficients))
+def _vr_residual(problem: NoisyProblem, beta: float) -> tuple[float, float]:
+    """psi_vr(beta) and d psi_vr / d beta from one pass over the spectrum.
+
+    Mode i keeps the fraction gain_i = 1 / (1 + lam_i beta) of |b_i|, which
+    decays at rate lam_i gain_i.
+    """
+    lam = problem.spectrum_m
+    gain = lam * beta
+    gain += 1.0
+    np.reciprocal(gain, out=gain)
+    damped = gain * np.abs(problem.rhs_coefficients)
+    gain *= lam
+    return _norm_and_slope(damped, gain)
 
 
 def tikhonov_solution(problem: NoisyProblem, alpha: float) -> np.ndarray:
@@ -56,57 +64,21 @@ def vr_solve(problem: NoisyProblem, C: float) -> VRReport:
 
     The start point u0 of the problem is ignored; Tikhonov regularizes from
     zero. Raises UnattainableDiscrepancy when even alpha -> 0 cannot push
-    the residual below the target, and BracketFailure when the fixed
-    log-alpha bracket does not straddle it.
+    the residual below the target, and PreconditionViolated when
+    ||f_delta|| is at, below or within the search tolerance of it.
     """
     if not (np.isfinite(C) and C > 0):
         raise DomainError(f"C={C} must be positive and finite")
-    target = C * problem.delta
-    tol = VR_TOL_REL * target
-    floor = float(np.linalg.norm(problem.rhs_coefficients[problem.spectrum_m == 0.0]))
-    if floor >= target:
-        raise UnattainableDiscrepancy(
-            f"residual floor {floor:.6e} >= C*delta = {target:.6e}"
-        )
-    lam_max = float(problem.spectrum_m.max(initial=0.0))
-    if lam_max == 0.0:
-        raise UnattainableDiscrepancy("operator is identically zero")
-    lo = BRACKET_LO_FACTOR * lam_max
-    hi = BRACKET_HI_FACTOR * lam_max
-    resid_lo = _vr_residual(problem, lo)
-    resid_hi = _vr_residual(problem, hi)
-    iterations = 2
-    alpha = None
-    if abs(resid_lo - target) <= tol:
-        alpha = lo
-    elif abs(resid_hi - target) <= tol:
-        alpha = hi
-    elif not resid_lo < target < resid_hi:
-        raise BracketFailure(
-            f"bracket [{lo:.3e}, {hi:.3e}] gives residuals "
-            f"[{resid_lo:.6e}, {resid_hi:.6e}] around target {target:.6e}"
-        )
-    if alpha is None:
-        for _ in range(VR_MAX_BISECTIONS):
-            mid = float(np.sqrt(lo * hi))
-            resid_mid = _vr_residual(problem, mid)
-            iterations += 1
-            if abs(resid_mid - target) <= tol:
-                alpha = mid
-                break
-            if resid_mid > target:
-                hi = mid
-            else:
-                lo = mid
-        else:
-            raise IterationBudgetExceeded(
-                f"bisection did not reach |psi_vr - C*delta| <= {tol:.3e} "
-                f"in {VR_MAX_BISECTIONS} iterations"
-            )
-    state = tikhonov_solution(problem, alpha)
+    floor = _scaled_norm(problem.rhs_coefficients[problem.spectrum_m == 0.0])
+    search = _newton_on_log_psi(
+        lambda beta: _vr_residual(problem, beta), C * problem.delta, floor
+    )
+    if search.t_delta == 0.0:
+        raise PreconditionViolated("||f_delta|| meets C*delta; only alpha -> inf fits")
+    alpha = 1.0 / search.t_delta
     return VRReport(
         alpha=alpha,
-        solution=state,
-        residual_norm=_vr_residual(problem, alpha),
-        bisection_iterations=iterations,
+        solution=tikhonov_solution(problem, alpha),
+        residual_norm=search.residual_norm,
+        newton_iterations=search.iterations,
     )

@@ -146,12 +146,14 @@ def _bench_cell(problem, fact, delta_rel, seed, C):
         try:
             if method == "dsmg":
                 report = solve(noisy, DiscrepancyRule(C=C))
-                state, iters, param = report.solution, report.newton_iterations, report.t_delta
+                param = report.t_delta
             else:
                 report = vr_solve(noisy, C)
-                state, iters, param = report.solution, report.bisection_iterations, report.alpha
-            error = float(np.linalg.norm(state - truth)) / truth_norm
-            rows.append(BenchmarkRow(n, method, iters, error, param, seed, delta_rel))
+                param = report.alpha
+            error = float(np.linalg.norm(report.solution - truth)) / truth_norm
+            rows.append(
+                BenchmarkRow(n, method, report.newton_iterations, error, param, seed, delta_rel)
+            )
         except DsmgError:
             rows.append(BenchmarkRow(n, method, -1, float("nan"), float("nan"), seed, delta_rel))
     return rows

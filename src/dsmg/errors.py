@@ -43,10 +43,6 @@ class UnstableStep(DsmgError):
     """Explicit Euler step size is at or beyond the stability limit."""
 
 
-class BracketFailure(DsmgError):
-    """A bisection bracket does not straddle the target value."""
-
-
 class ComplexResidue(DsmgError):
     """A nominally real signal came back with a large imaginary part."""
 

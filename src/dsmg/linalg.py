@@ -20,6 +20,8 @@ from .errors import DimensionMismatch, DomainError, FactorizationFailure
 UNITARY_TOL_PER_DIM = 1e-10
 RECON_TOL_PER_DIM = 1e-10
 DEFAULT_RANK_TOL = 1e-12
+# largest modulus whose square is finite in float64
+MAX_SINGULAR_VALUE = float(np.sqrt(np.finfo(np.float64).max))
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:
@@ -58,6 +60,9 @@ class SpectralFactorization:
                 f"diag has length {len(self.diag)}, expected {min(m, n)}"
             )
         _require_finite(self.diag, "diag")
+        # compared, not squared: squaring would warn on the overflow it detects
+        if not np.all(np.abs(self.diag) <= MAX_SINGULAR_VALUE):
+            raise DomainError(f"|diag| exceeds {MAX_SINGULAR_VALUE:.3e}; |s_i|^2 overflows")
         for name, basis, dim in (("u_basis", self.u_basis, m), ("v_basis", self.v_basis, n)):
             if basis is None:
                 continue

@@ -11,6 +11,9 @@ principle psi(t) = C * delta solved by Newton's method on log psi from
 t = 0, one fused pass over the spectrum per iteration (log psi is convex and
 decreasing, so the iterates rise monotonically to the root), and the a
 priori time t = C / delta**gamma.
+``_newton_on_log_psi`` is the package's one parameter search: the Tikhonov
+baseline calls it too, and both feed it passes of the one residual kernel
+``_norm_and_slope``.
 ``landweber_integrate`` is the explicit-Euler integrator of the same flow,
 kept as a slow independent cross-check.
 """
@@ -229,13 +232,29 @@ def _scaled_norm(values: np.ndarray) -> float:
     return scale * float(np.linalg.norm(values / scale))
 
 
+def _norm_and_slope(damped: np.ndarray, rate: np.ndarray) -> tuple[float, float]:
+    """psi = ||damped|| and psi' = -sum(rate * damped**2) / psi in one pass.
+
+    This is the one residual kernel: each mode contributes its damped
+    residual modulus and the rate at which the damping decays it. The moduli
+    are rescaled by their maximum before squaring, so the squares underflow
+    only where they are negligible. ``damped`` is overwritten. psi' is
+    reported as 0 when psi itself is 0.
+    """
+    scale = float(damped.max(initial=0.0))
+    if scale == 0.0:
+        return 0.0, 0.0
+    damped /= scale
+    damped *= damped
+    norm = math.sqrt(float(damped.sum()))
+    return scale * norm, -scale * float(np.dot(rate, damped)) / norm
+
+
 def _residual_pass(problem: NoisyProblem, t: float) -> tuple[float, float]:
-    """psi(t) and psi'(t) from one pass over the spectrum.
+    """psi(t) and psi'(t) of the flow from one pass over the spectrum.
 
     The damping exp(-t*lam) is real, so only the moduli of the residual
-    coefficients enter. They are rescaled by their maximum before squaring,
-    so the squares underflow only where they are negligible. psi' is
-    reported as 0 when psi itself is 0.
+    coefficients enter, and each decays at rate lam.
     """
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t={t} must be nonnegative and finite")
@@ -243,13 +262,7 @@ def _residual_pass(problem: NoisyProblem, t: float) -> tuple[float, float]:
     damped = lam * -t
     np.exp(damped, out=damped)
     damped *= np.abs(problem.initial_residual_coefficients)
-    scale = float(damped.max(initial=0.0))
-    if scale == 0.0:
-        return 0.0, 0.0
-    damped /= scale
-    damped *= damped
-    norm = math.sqrt(float(damped.sum()))
-    return scale * norm, -scale * float(np.dot(lam, damped)) / norm
+    return _norm_and_slope(damped, lam)
 
 
 def discrepancy(problem: NoisyProblem, t: float) -> float:
@@ -270,32 +283,27 @@ def discrepancy_derivative(problem: NoisyProblem, t: float) -> float:
     return dpsi
 
 
-def _check_attainable(problem: NoisyProblem, target: float) -> None:
-    if problem.residual_floor >= target:
+def _newton_on_log_psi(residual_pass, target: float, floor: float) -> NewtonResult:
+    """Solve psi(t) = target for t > 0 by Newton's method on log psi from t = 0.
+
+    t is the flow time for the gradient flow and beta = 1 / alpha for
+    Tikhonov. ``residual_pass(t)`` returns psi(t) and psi'(t) from one pass over the
+    spectrum, and ``floor`` is inf psi. log psi must be convex and
+    decreasing in t: then every Newton step from a point left of the root
+    stays left of it, so the iterates rise monotonically. A step that
+    rounding carries materially past the root is replaced by bisection
+    between the last point above the target and the overshooting one.
+    Returns the root, the iteration count, the rising trace of points above
+    the target ending at the root, and psi at the root.
+    """
+    if floor >= target:
         raise UnattainableDiscrepancy(
-            f"residual floor {problem.residual_floor:.6e} >= C*delta = {target:.6e}; "
+            f"residual floor {floor:.6e} >= C*delta = {target:.6e}; "
             "C is too small or delta understates the noise"
         )
-
-
-def newton_solve_t(problem: NoisyProblem, C: float) -> NewtonResult:
-    """Solve psi(t) = C * delta by Newton's method on log psi started at t = 0.
-
-    log psi(t) = 1/2 log sum_i exp(-2 t lam_i) |r_i|^2 is a log-sum-exp of
-    affine functions of t, hence convex and decreasing: every Newton step
-    from a point left of the root stays left of it, so the iterates rise
-    monotonically, and on a single mode the first step is exact. Each
-    iteration costs one pass for psi and psi' together. A step that rounding
-    carries materially past the root is replaced by bisection between the
-    last point above the target and the overshooting one. Returns the root,
-    the iteration count, the rising trace of points above the target ending
-    at the root, and psi at the root.
-    """
-    target = C * problem.delta
     tol = NEWTON_TOL_REL * target
-    _check_attainable(problem, target)
     t = 0.0
-    psi, dpsi = _residual_pass(problem, t)
+    psi, dpsi = residual_pass(t)
     if psi <= target:
         raise PreconditionViolated(
             f"psi(0)={psi:.6e} <= C*delta={target:.6e}; no positive root exists"
@@ -303,7 +311,10 @@ def newton_solve_t(problem: NoisyProblem, C: float) -> NewtonResult:
     upper = math.inf
     iterates = []
     iterations = 0
-    while abs(psi - target) > tol:
+    # negated so that a NaN psi enters the loop and is rejected there
+    while not abs(psi - target) <= tol:
+        if not math.isfinite(psi):
+            raise DomainError(f"residual norm {psi} at t={t:.6e} overflows double precision")
         if iterations == NEWTON_MAX_ITER:
             raise IterationBudgetExceeded(
                 f"Newton did not reach |psi - C*delta| <= {tol:.3e} "
@@ -323,9 +334,21 @@ def newton_solve_t(problem: NoisyProblem, C: float) -> NewtonResult:
             raise IterationBudgetExceeded(f"Newton step from t={lower:.6e} made no progress")
         if t >= upper:
             t = 0.5 * (lower + upper)
-        psi, dpsi = _residual_pass(problem, t)
+        psi, dpsi = residual_pass(t)
     iterates.append(t)
     return NewtonResult(t, iterations, tuple(iterates), psi)
+
+
+def newton_solve_t(problem: NoisyProblem, C: float) -> NewtonResult:
+    """Solve psi(t) = C * delta by Newton's method on log psi started at t = 0.
+
+    log psi(t) = 1/2 log sum_i exp(-2 t lam_i) |r_i|^2 is a log-sum-exp of
+    affine functions of t, hence convex and decreasing, so the iterates rise
+    monotonically to the root; on a single mode the first step is exact.
+    """
+    return _newton_on_log_psi(
+        lambda t: _residual_pass(problem, t), C * problem.delta, problem.residual_floor
+    )
 
 
 def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:

@@ -1,14 +1,16 @@
 """Tikhonov baseline: filter behavior and discrepancy-chosen alpha."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_matrix, random_problem
 from dsmg import (
-    BracketFailure,
     DiscrepancyRule,
     NoiseSpec,
     NoisyProblem,
+    PreconditionViolated,
     UnattainableDiscrepancy,
     add_noise,
     apply,
@@ -20,6 +22,7 @@ from dsmg import (
     tikhonov_solution,
     vr_solve,
 )
+from dsmg import baselines, solver
 from dsmg.baselines import _vr_residual
 
 
@@ -30,7 +33,7 @@ def test_scalar_alpha_closed_form():
     expected = 0.015 / 0.985
     assert abs(report.alpha - expected) <= 1e-6 * expected
     assert abs(report.residual_norm - 0.015) <= 1e-8 * 0.015
-    assert report.bisection_iterations >= 1
+    assert report.newton_iterations >= 1
 
 
 def test_small_alpha_limit_is_pseudo_inverse():
@@ -58,8 +61,57 @@ def test_residual_hits_target_on_random_problems():
 def test_vr_residual_increasing_in_alpha():
     problem = random_problem(42, m=5, n=5, sing_lo=0.05, sing_hi=1.5)
     alphas = np.logspace(-8, 2, 30)
-    values = [_vr_residual(problem, a) for a in alphas]
+    values = [_vr_residual(problem, 1.0 / a)[0] for a in alphas]
     assert np.all(np.diff(values) > 0)
+
+
+def test_alpha_matches_bisection_oracle(monkeypatch):
+    # 200 bisections on log(alpha) against the direct residual
+    # ||alpha / (lam + alpha) * U* f||; the Newton iterates in beta = 1/alpha rise
+    searches = []
+    original = solver._newton_on_log_psi
+
+    def recorded(*args):
+        searches.append(original(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(baselines, "_newton_on_log_psi", recorded)
+    C = 1.2
+    for seed in range(10):
+        problem = random_problem(seed + 700, m=6, n=6, sing_lo=0.01, sing_hi=2.0)
+        lam = problem.spectrum_m
+        coeffs = problem.rhs_coefficients
+        target = C * problem.delta
+
+        def gap(alpha):
+            return np.linalg.norm(alpha / (lam + alpha) * coeffs) - target
+
+        lo, hi = 1e-16, 1e4
+        assert gap(lo) < 0 < gap(hi)
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if gap(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        oracle = math.sqrt(lo * hi)
+        report = vr_solve(problem, C)
+        assert abs(report.alpha - oracle) <= 1e-6 * oracle
+        assert np.all(np.diff(searches[-1].iterates) >= 0)
+
+
+def test_one_pass_per_iteration(monkeypatch):
+    problem = random_problem(800, m=8, n=8, sing_lo=0.01, sing_hi=3.0)
+    calls = []
+    original = baselines._vr_residual
+
+    def counted(p, beta):
+        calls.append(beta)
+        return original(p, beta)
+
+    monkeypatch.setattr(baselines, "_vr_residual", counted)
+    report = vr_solve(problem, 1.1)
+    assert len(calls) == report.newton_iterations + 1
 
 
 def test_solution_norm_below_pseudo_inverse():
@@ -88,10 +140,18 @@ def test_unattainable_when_data_outside_range():
         vr_solve(problem, 1.5)
 
 
-def test_bracket_failure_when_target_above_data_norm():
+def test_precondition_violated_when_target_above_data_norm():
     problem = NoisyProblem(from_diagonal([1.0]), np.array([1.0]), delta=0.9)
-    with pytest.raises(BracketFailure):
+    with pytest.raises(PreconditionViolated):
         vr_solve(problem, 1.5)  # C*delta = 1.35 > ||f|| = 1
+
+
+def test_precondition_violated_when_target_within_tolerance_of_data_norm():
+    # ||f|| exceeds C*delta by less than the 1e-8 stop tolerance, so the
+    # search accepts beta = 0 and only alpha -> inf would fit
+    problem = NoisyProblem(from_diagonal([1.0]), np.array([1.0]), delta=1.0 - 5e-9)
+    with pytest.raises(PreconditionViolated):
+        vr_solve(problem, 1.0)
 
 
 def test_same_contract_shape_as_gradient_solver():

@@ -109,7 +109,7 @@ class TestDerivativeBench:
         assert main(["derivative-bench", "--N", "10,twenty"]) == 2
 
     def test_failed_cell_marked_and_exit_3(self, capsys):
-        # C*delta above the data norm: the baseline cannot bracket its target,
+        # C*delta above the data norm: the baseline raises PreconditionViolated,
         # so its row is marked and the run still completes
         code = main(
             ["derivative-bench", "--N", "10", "--seeds", "0", "--delta-rel", "0.9", "--C", "1.9"]

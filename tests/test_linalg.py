@@ -208,6 +208,15 @@ class TestValidation:
                 u_basis=None, v_basis=None, diag=np.array([1.0]), shape=(2, 2)
             )
 
+    @pytest.mark.parametrize("entry", [1.35e154, -1e200, 1e154 + 1e154j, 1e308 + 1e308j])
+    def test_rejects_diag_whose_square_overflows(self, entry):
+        with pytest.raises(DomainError):
+            from_diagonal([1.0, entry])
+
+    def test_accepts_largest_squarable_diag(self):
+        fact = from_diagonal([1.34e154, -1.34e154])
+        assert np.all(np.isfinite(fact.eigenvalues))
+
     def test_arrays_frozen(self):
         fact = from_diagonal([1.0, 2.0])
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from dsmg import (
     second_derivative_problem,
     solution_at,
     solve,
+    vr_solve,
 )
 from dsmg import solver
 from dsmg.solver import FLAG_DISCREPANCY_AT_START
@@ -286,6 +287,18 @@ class TestNewtonFromZero:
         assert abs(discrepancy(problem, result.t_delta) - target) <= 1e-8 * target
         assert np.all(np.diff(result.iterates) >= 0)
 
+    def test_non_finite_residual_raises_typed(self, monkeypatch):
+        problem = random_problem(302, m=4, n=4)
+        original = solver._residual_pass
+
+        def overflowing(p, t):
+            psi, dpsi = original(p, t)
+            return (math.nan, dpsi) if t > 0 else (psi, dpsi)
+
+        monkeypatch.setattr(solver, "_residual_pass", overflowing)
+        with pytest.raises(DomainError):
+            newton_solve_t(problem, 1.1)
+
     def test_reported_residual_is_psi_at_root(self):
         for seed in range(10):
             problem = random_problem(seed + 300, m=5, n=5, sing_lo=0.01, sing_hi=3.0)
@@ -344,20 +357,32 @@ class TestSolve:
         direct = np.linalg.norm(apply(problem.factorization, report.solution) - problem.f_delta)
         assert abs(direct - report.residual_norm) <= 1e-10 * direct
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-120, 1e-100, 1.0, 1e100, 1e120, 1e150])
+    @pytest.mark.parametrize(
+        "scale", [1e-200, 1e-150, 1e-120, 1e-100, 1.0, 1e100, 1e120, 1e150, 1e200]
+    )
     def test_extreme_scale_calibrates_or_raises_typed(self, scale):
         # scaling (A, f, delta) together must never leak an untyped error or
-        # a non-finite time; scale equivariance itself is not asserted here
+        # a non-finite result, from either method; scale equivariance itself
+        # is not asserted here
         base = second_derivative_problem(50, lambda x: math.sin(2.0 * math.pi * x))
         rhs, delta = add_noise(base.exact_rhs, NoiseSpec(0.01, 0))
-        problem = NoisyProblem(factorize_svd(scale * base.matrix), scale * rhs, scale * delta)
-        target = 1.1 * problem.delta
         try:
-            report = solve(problem, DiscrepancyRule(C=1.1))
+            problem = NoisyProblem(factorize_svd(scale * base.matrix), scale * rhs, scale * delta)
         except DsmgError:
             return
-        assert math.isfinite(report.t_delta)
-        assert abs(report.residual_norm - target) <= 1e-8 * target
+        target = 1.1 * problem.delta
+        methods = (
+            (lambda: solve(problem, DiscrepancyRule(C=1.1)), "t_delta"),
+            (lambda: vr_solve(problem, 1.1), "alpha"),
+        )
+        for method, parameter in methods:
+            try:
+                report = method()
+            except DsmgError:
+                continue
+            assert math.isfinite(getattr(report, parameter))
+            assert math.isfinite(report.residual_norm)
+            assert abs(report.residual_norm - target) <= 1e-8 * target
 
     def test_report_residual_recomputable(self):
         for seed in range(5):
