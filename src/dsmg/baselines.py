@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionViolated
 from .linalg import _left_multiply
-from .solver import NoisyProblem, _newton_on_log_psi, _norm_and_slope, _scaled_norm
+from .solver import NoisyProblem, _floor, _newton_on_log_psi, _norm_and_slope
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,13 @@ def _vr_residual(problem: NoisyProblem, beta: float) -> tuple[float, float]:
     Mode i keeps the fraction gain_i = 1 / (1 + lam_i beta) of |b_i|, which
     decays at rate lam_i gain_i.
     """
-    lam = problem.spectrum_m
+    lam = problem.factorization.eigenvalues
     gain = lam * beta
     gain += 1.0
     np.reciprocal(gain, out=gain)
     damped = gain * np.abs(problem.rhs_coefficients)
     gain *= lam
-    return _norm_and_slope(damped, gain)
+    return _norm_and_slope(damped, gain, problem._off_range_norm)
 
 
 def tikhonov_solution(problem: NoisyProblem, alpha: float) -> np.ndarray:
@@ -51,12 +51,8 @@ def tikhonov_solution(problem: NoisyProblem, alpha: float) -> np.ndarray:
     if not (np.isfinite(alpha) and alpha > 0):
         raise DomainError(f"alpha={alpha} must be positive and finite")
     fact = problem.factorization
-    k = len(fact.diag)
     gains = fact.diag.conj() / (fact.eigenvalues + alpha)
-    driven = gains * problem.rhs_coefficients[:k]
-    coeffs = np.zeros(fact.shape[1], dtype=driven.dtype)
-    coeffs[:k] = driven
-    return _left_multiply(fact.v_basis, coeffs)
+    return _left_multiply(fact.v_basis, gains * problem.rhs_coefficients)
 
 
 def vr_solve(problem: NoisyProblem, C: float) -> VRReport:
@@ -69,7 +65,8 @@ def vr_solve(problem: NoisyProblem, C: float) -> VRReport:
     """
     if not (np.isfinite(C) and C > 0):
         raise DomainError(f"C={C} must be positive and finite")
-    floor = _scaled_norm(problem.rhs_coefficients[problem.spectrum_m == 0.0])
+    stuck = problem.factorization.eigenvalues == 0.0
+    floor = _floor(problem.rhs_coefficients[stuck], problem._off_range_norm)
     search = _newton_on_log_psi(
         lambda beta: _vr_residual(problem, beta), C * problem.delta, floor
     )

@@ -57,32 +57,37 @@ def load_matrix(path) -> np.ndarray:
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc
     text = raw.decode("ascii", errors="replace")
-    lines = [line for line in text.splitlines() if line.strip()]
+    # (byte offset, line) of each nonblank line; ascii decoding keeps one char per byte
+    lines = []
+    offset = 0
+    for line in text.splitlines(keepends=True):
+        if line.strip():
+            lines.append((offset, line))
+        offset += len(line)
     if not lines:
         raise MalformedFile(f"{path}: empty file", 0)
-    header = lines[0].split()
+    header_at, header = lines[0][0], lines[0][1].split()
     if len(header) != 2:
-        raise MalformedFile(f"{path}: first line must be 'm n'", 0)
+        raise MalformedFile(f"{path}: first line must be 'm n'", header_at)
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
-        raise MalformedFile(f"{path}: non-integer dimensions {header}", 0) from None
+        raise MalformedFile(f"{path}: non-integer dimensions {header}", header_at) from None
     if rows < 1 or cols < 1 or len(lines) - 1 != rows:
         raise MalformedFile(
-            f"{path}: expected {rows} data rows, found {len(lines) - 1}", 0
+            f"{path}: expected {rows} data rows, found {len(lines) - 1}", header_at
         )
     data = np.empty((rows, cols))
-    for i, line in enumerate(lines[1:]):
+    for i, (start, line) in enumerate(lines[1:]):
         fields = line.split()
         if len(fields) != cols:
             raise MalformedFile(
-                f"{path}: row {i + 1} has {len(fields)} entries, expected {cols}",
-                text.find(line),
+                f"{path}: row {i + 1} has {len(fields)} entries, expected {cols}", start
             )
         try:
             data[i] = [float(f) for f in fields]
         except ValueError:
-            raise MalformedFile(f"{path}: bad number in row {i + 1}", text.find(line)) from None
+            raise MalformedFile(f"{path}: bad number in row {i + 1}", start) from None
     return data
 
 

@@ -6,7 +6,8 @@ S = diag(dft(h)) and right-hand side dft(g_delta); no factorization has to
 be computed. The DFT convention is the unnormalized forward sum
 sum_j x_j exp(-2 pi i j k / N), whose Parseval factor sqrt(N) converts the
 noise bound between signal and Fourier domains. 2-d images flatten to one
-diagonal system through the 2-d DFT and reuse the 1-d path verbatim.
+diagonal system through the 2-d DFT, and both paths solve it through the
+same helper.
 """
 
 from dataclasses import dataclass
@@ -102,16 +103,18 @@ def circular_convolve(kernel, signal) -> np.ndarray:
     return out
 
 
-def _spectral_problem(problem: CirculantProblem) -> NoisyProblem:
-    n = len(problem.kernel)
-    fact = from_diagonal(dft(problem.kernel))
+def _solve_transformed(kernel_hat, data_hat, delta: float, rule: StoppingRule) -> SolveReport:
+    """Solve the diagonal system of a transformed kernel and data, bound ``delta``."""
+    if not np.any(kernel_hat != 0):
+        raise DomainError("kernel transform is identically zero")
     # Parseval for the unnormalized DFT: norms gain a factor sqrt(N), so the
     # noise bound must be converted into the Fourier domain alongside the data.
-    return NoisyProblem(
-        factorization=fact,
-        f_delta=dft(problem.observed),
-        delta=np.sqrt(n) * problem.delta,
+    spectral = NoisyProblem(
+        factorization=from_diagonal(kernel_hat),
+        f_delta=data_hat,
+        delta=np.sqrt(len(kernel_hat)) * delta,
     )
+    return solve(spectral, rule)
 
 
 def _to_real(signal: np.ndarray) -> np.ndarray:
@@ -131,10 +134,7 @@ def deconvolve_1d(problem: CirculantProblem, rule: StoppingRule) -> tuple[np.nda
     real for real inputs, and a material imaginary residue raises
     ComplexResidue as a signal of inconsistent inputs.
     """
-    hat = dft(problem.kernel)
-    if not np.any(hat != 0):
-        raise DomainError("kernel transform is identically zero")
-    report = solve(_spectral_problem(problem), rule)
+    report = _solve_transformed(dft(problem.kernel), dft(problem.observed), problem.delta, rule)
     restored = _to_real(idft(report.solution))
     return restored, report
 
@@ -159,18 +159,12 @@ def deconvolve_2d(
     if not (np.isfinite(delta_rel) and delta_rel > 0):
         raise DomainError(f"delta_rel={delta_rel} must be positive and finite")
     shape = observed.pixels.shape
-    count = observed.pixels.size
-    kernel_hat = np.fft.fft2(psf.pixels).ravel()
-    if not np.any(kernel_hat != 0):
-        raise DomainError("psf transform is identically zero")
-    data_hat = np.fft.fft2(observed.pixels).ravel()
-    delta_abs = delta_rel * float(np.linalg.norm(observed.pixels))
-    spectral = NoisyProblem(
-        factorization=from_diagonal(kernel_hat),
-        f_delta=data_hat,
-        delta=np.sqrt(count) * delta_abs,
+    report = _solve_transformed(
+        np.fft.fft2(psf.pixels).ravel(),
+        np.fft.fft2(observed.pixels).ravel(),
+        delta_rel * float(np.linalg.norm(observed.pixels)),
+        rule,
     )
-    report = solve(spectral, rule)
     flat = _to_real(np.fft.ifft2(report.solution.reshape(shape)).ravel())
     return GrayImage(flat.reshape(shape)).clamped(), report
 

@@ -1,10 +1,11 @@
-"""Unitary spectral factorizations A = U S V* and the operations built on them.
+"""Thin spectral factorizations A = U S V* and the operations built on them.
 
-A factorization stores the two unitary bases and the diagonal of S. The
-diagonal may be complex (the DFT-diagonalized convolution case); the derived
-spectrum of A*A is always the real vector |s_i|^2. Either basis may be stored
-as ``None``, meaning the identity, so that diagonal systems of FFT size never
-materialize an n x n identity matrix.
+With k = min(m, n), a factorization stores the k singular triplets: bases U
+(m x k) and V (n x k) with orthonormal columns, and the k-entry diagonal of
+S. The diagonal may be complex (the DFT-diagonalized convolution case); the
+derived spectrum is always the real vector |s_i|^2. A basis that is square
+may be stored as ``None``, meaning the identity, so that diagonal systems of
+FFT size never materialize an n x n identity matrix.
 
 All stored arrays are copied and frozen, and every operation is a pure
 function, so values can be shared freely across threads.
@@ -37,11 +38,12 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class SpectralFactorization:
-    """A = U S V* with unitary U (m x m), V (n x n) and diagonal S.
+    """A = U S V* with k = min(m, n), orthonormal columns U (m x k) and V (n x k).
 
-    ``u_basis`` / ``v_basis`` equal to ``None`` stand for identity matrices.
-    ``diag`` holds the min(m, n) diagonal entries of S, possibly complex and
-    in caller-defined order (``factorize_svd`` sorts them nonincreasing,
+    ``u_basis`` / ``v_basis`` equal to ``None`` stand for k x k identity
+    matrices, so only a basis of a side with k rows can be omitted.
+    ``diag`` holds the k diagonal entries of S, possibly complex and in
+    caller-defined order (``factorize_svd`` sorts them nonincreasing,
     ``from_diagonal`` preserves positional order).
     """
 
@@ -54,48 +56,39 @@ class SpectralFactorization:
         m, n = self.shape
         if m < 1 or n < 1:
             raise DimensionMismatch(f"shape {self.shape} must be at least 1 x 1")
+        k = min(m, n)
         object.__setattr__(self, "diag", _frozen_array(self.diag))
-        if self.diag.ndim != 1 or len(self.diag) != min(m, n):
-            raise DimensionMismatch(
-                f"diag has length {len(self.diag)}, expected {min(m, n)}"
-            )
+        if self.diag.ndim != 1 or len(self.diag) != k:
+            raise DimensionMismatch(f"diag has length {len(self.diag)}, expected {k}")
         _require_finite(self.diag, "diag")
         # compared, not squared: squaring would warn on the overflow it detects
         if not np.all(np.abs(self.diag) <= MAX_SINGULAR_VALUE):
             raise DomainError(f"|diag| exceeds {MAX_SINGULAR_VALUE:.3e}; |s_i|^2 overflows")
         for name, basis, dim in (("u_basis", self.u_basis, m), ("v_basis", self.v_basis, n)):
             if basis is None:
+                if dim != k:
+                    raise DimensionMismatch(f"{name} of {dim} rows cannot be the identity")
                 continue
             basis = _frozen_array(basis)
             object.__setattr__(self, name, basis)
-            if basis.shape != (dim, dim):
-                raise DimensionMismatch(f"{name} has shape {basis.shape}, expected {(dim, dim)}")
+            if basis.shape != (dim, k):
+                raise DimensionMismatch(f"{name} has shape {basis.shape}, expected {(dim, k)}")
             _require_finite(basis, name)
             gram = basis.conj().T @ basis
-            defect = np.linalg.norm(gram - np.eye(dim))
+            defect = np.linalg.norm(gram - np.eye(k))
             if defect > UNITARY_TOL_PER_DIM * dim:
-                raise DomainError(f"{name} is not unitary (defect {defect:.3e})")
+                raise DomainError(f"{name} columns are not orthonormal (defect {defect:.3e})")
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum |s_i|^2 of A*A restricted to the first min(m, n) modes."""
+        """Spectrum |s_i|^2 of the k singular triplets."""
         out = np.abs(self.diag) ** 2
         out.setflags(write=False)
         return out
 
-    def u_dense(self) -> np.ndarray:
-        return np.eye(self.shape[0]) if self.u_basis is None else self.u_basis
-
-    def v_dense(self) -> np.ndarray:
-        return np.eye(self.shape[1]) if self.v_basis is None else self.v_basis
-
     def to_matrix(self) -> np.ndarray:
         """Materialize the dense matrix U S V*."""
-        m, n = self.shape
-        k = len(self.diag)
-        s_block = np.zeros((m, n), dtype=self.diag.dtype)
-        s_block[np.arange(k), np.arange(k)] = self.diag
-        left = s_block if self.u_basis is None else self.u_basis @ s_block
+        left = np.diag(self.diag) if self.u_basis is None else self.u_basis * self.diag
         return left if self.v_basis is None else left @ self.v_basis.conj().T
 
 
@@ -108,7 +101,7 @@ def _adjoint_multiply(basis: np.ndarray | None, vec: np.ndarray) -> np.ndarray:
 
 
 def factorize_svd(matrix) -> SpectralFactorization:
-    """Factor a dense matrix into A = U S V* by singular value decomposition.
+    """Factor a dense matrix into the thin SVD A = U S V*, U m x k and V n x k.
 
     The returned diagonal is real, nonnegative and sorted nonincreasing.
     Raises FactorizationFailure if the SVD iteration does not converge and
@@ -119,7 +112,7 @@ def factorize_svd(matrix) -> SpectralFactorization:
         raise DimensionMismatch(f"expected a 2-d array, got ndim {a.ndim}")
     _require_finite(a, "matrix")
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(str(exc)) from exc
     fact = SpectralFactorization(u_basis=u, v_basis=vh.conj().T, diag=s, shape=a.shape)
@@ -149,27 +142,19 @@ def from_diagonal(diag) -> SpectralFactorization:
 def apply(fact: SpectralFactorization, x) -> np.ndarray:
     """Compute A x = U S V* x."""
     x = np.asarray(x)
-    m, n = fact.shape
+    n = fact.shape[1]
     if x.shape != (n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({n},)")
-    k = len(fact.diag)
-    coeffs = _adjoint_multiply(fact.v_basis, x)
-    scaled = np.zeros(m, dtype=np.result_type(fact.diag.dtype, coeffs.dtype))
-    scaled[:k] = fact.diag * coeffs[:k]
-    return _left_multiply(fact.u_basis, scaled)
+    return _left_multiply(fact.u_basis, fact.diag * _adjoint_multiply(fact.v_basis, x))
 
 
 def adjoint_apply(fact: SpectralFactorization, y) -> np.ndarray:
     """Compute A* y = V conj(S) U* y."""
     y = np.asarray(y)
-    m, n = fact.shape
+    m = fact.shape[0]
     if y.shape != (m,):
         raise DimensionMismatch(f"y has shape {y.shape}, expected ({m},)")
-    k = len(fact.diag)
-    coeffs = _adjoint_multiply(fact.u_basis, y)
-    scaled = np.zeros(n, dtype=np.result_type(fact.diag.dtype, coeffs.dtype))
-    scaled[:k] = fact.diag.conj() * coeffs[:k]
-    return _left_multiply(fact.v_basis, scaled)
+    return _left_multiply(fact.v_basis, fact.diag.conj() * _adjoint_multiply(fact.u_basis, y))
 
 
 def minimal_norm_solution(fact: SpectralFactorization, f, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -180,7 +165,7 @@ def minimal_norm_solution(fact: SpectralFactorization, f, rank_tol: float = DEFA
     orthogonal to the numerical null space.
     """
     f = np.asarray(f)
-    m, n = fact.shape
+    m = fact.shape[0]
     if f.shape != (m,):
         raise DimensionMismatch(f"f has shape {f.shape}, expected ({m},)")
     if rank_tol <= 0:
@@ -190,7 +175,4 @@ def minimal_norm_solution(fact: SpectralFactorization, f, rank_tol: float = DEFA
     gains = np.zeros(len(eig), dtype=np.result_type(fact.diag.dtype, float))
     keep = eig > cutoff
     gains[keep] = fact.diag[keep].conj() / eig[keep]
-    coeffs = _adjoint_multiply(fact.u_basis, f)
-    scaled = np.zeros(n, dtype=np.result_type(gains.dtype, coeffs.dtype))
-    scaled[: len(eig)] = gains * coeffs[: len(eig)]
-    return _left_multiply(fact.v_basis, scaled)
+    return _left_multiply(fact.v_basis, gains * _adjoint_multiply(fact.u_basis, f))

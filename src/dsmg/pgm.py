@@ -19,6 +19,7 @@ class _Tokens:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.start = 0  # offset of the last token read
 
     def _skip_separators(self) -> None:
         while self.pos < len(self.data):
@@ -35,18 +36,17 @@ class _Tokens:
         self._skip_separators()
         if self.pos >= len(self.data):
             raise MalformedFile(f"unexpected end of file while reading {what}", self.pos)
-        start = self.pos
+        self.start = self.pos
         while self.pos < len(self.data) and self.data[self.pos:self.pos + 1] not in _WHITESPACE:
             self.pos += 1
-        return self.data[start:self.pos]
+        return self.data[self.start:self.pos]
 
     def next_int(self, what: str) -> int:
-        start_guess = self.pos
         token = self.next_token(what)
         try:
             return int(token)
         except ValueError:
-            raise MalformedFile(f"invalid {what} {token!r}", start_guess) from None
+            raise MalformedFile(f"invalid {what} {token!r}", self.start) from None
 
 
 def read_pgm(path) -> GrayImage:
@@ -80,13 +80,16 @@ def read_pgm(path) -> GrayImage:
                 start + len(raster),
             )
         values = np.frombuffer(raster, dtype=np.uint8).astype(float)
+        over = np.flatnonzero(values > maxval)
+        if len(over):
+            raise MalformedFile(f"pixel {over[0]} exceeds maxval {maxval}", start + int(over[0]))
     else:
         values = np.empty(count)
         for i in range(count):
-            values[i] = tokens.next_int("pixel value")
-    if np.any(values > maxval):
-        offender = int(np.argmax(values > maxval))
-        raise MalformedFile(f"pixel {offender} exceeds maxval {maxval}", tokens.pos)
+            value = tokens.next_int("pixel value")
+            if not 0 <= value <= maxval:
+                raise MalformedFile(f"pixel {i} value {value} outside 0..{maxval}", tokens.start)
+            values[i] = value
     return GrayImage((values / maxval).reshape(height, width))
 
 

@@ -108,26 +108,6 @@ class NoisyProblem:
             raise DomainError("u0 contains non-finite entries")
 
     @cached_property
-    def spectrum_m(self) -> np.ndarray:
-        """Eigenvalues of A A*: |s_i|^2 padded with zeros to length m."""
-        m, _ = self.factorization.shape
-        eig = self.factorization.eigenvalues
-        out = np.zeros(m)
-        out[: len(eig)] = eig
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def spectrum_n(self) -> np.ndarray:
-        """Eigenvalues of A* A: |s_i|^2 padded with zeros to length n."""
-        _, n = self.factorization.shape
-        eig = self.factorization.eigenvalues
-        out = np.zeros(n)
-        out[: len(eig)] = eig
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def rhs_coefficients(self) -> np.ndarray:
         """U* f_delta."""
         out = _adjoint_multiply(self.factorization.u_basis, self.f_delta)
@@ -136,27 +116,33 @@ class NoisyProblem:
         return out
 
     @cached_property
+    def _off_range_norm(self) -> float:
+        """||f_delta - U U* f_delta||: the data no singular triplet reaches.
+
+        It is 0 unless the system is tall, and it never decays.
+        """
+        fact = self.factorization
+        if fact.shape[0] == len(fact.diag):
+            return 0.0
+        return _scaled_norm(self.f_delta - fact.u_basis @ self.rhs_coefficients)
+
+    @cached_property
     def initial_residual_coefficients(self) -> np.ndarray:
         """U* (A u0 - f_delta), the residual of the start point in the U basis."""
         fact = self.factorization
-        k = len(fact.diag)
         if np.count_nonzero(self.u0) == 0:
             out = -self.rhs_coefficients
         else:
-            start_coeffs = _adjoint_multiply(fact.v_basis, self.u0)
-            m = fact.shape[0]
-            mapped = np.zeros(m, dtype=np.result_type(fact.diag.dtype, start_coeffs.dtype))
-            mapped[:k] = fact.diag * start_coeffs[:k]
-            out = mapped - self.rhs_coefficients
+            out = fact.diag * _adjoint_multiply(fact.v_basis, self.u0) - self.rhs_coefficients
         out = np.array(out)
         out.setflags(write=False)
         return out
 
     @cached_property
     def residual_floor(self) -> float:
-        """inf_t psi(t): the residual mass on modes with zero eigenvalue."""
-        stuck = self.spectrum_m == 0.0
-        return _scaled_norm(self.initial_residual_coefficients[stuck])
+        """inf_t psi(t): the residual on modes with zero eigenvalue and off range(U)."""
+        stuck = self.factorization.eigenvalues == 0.0
+        return _floor(self.initial_residual_coefficients[stuck], self._off_range_norm)
 
 
 class NewtonResult(NamedTuple):
@@ -202,26 +188,22 @@ def evolution_filter(lam, t: float):
 def solution_at(problem: NoisyProblem, t: float) -> np.ndarray:
     """Evaluate the flow state u(t) in closed form.
 
-    u(t) = V [ exp(-t L) V* u0 + diag(filter(lam_i, t)) conj(S) U* f_delta ]
-    where L = diag(|s_i|^2). At t = 0 this is exactly u0.
+    u(t) = u0 + V [ expm1(-t L) V* u0 + diag(filter(lam_i, t)) conj(S) U* f_delta ]
+    where L = diag(|s_i|^2): the part of u0 outside span(V) never moves. At
+    t = 0 this is exactly u0.
     """
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t={t} must be nonnegative and finite")
     if t == 0.0:
         return np.array(problem.u0)
     fact = problem.factorization
-    k = len(fact.diag)
     gains = evolution_filter(fact.eigenvalues, t)
-    driven = gains * fact.diag.conj() * problem.rhs_coefficients[:k]
+    driven = gains * fact.diag.conj() * problem.rhs_coefficients
     if np.count_nonzero(problem.u0) == 0:
-        coeffs = np.zeros(fact.shape[1], dtype=driven.dtype)
-        coeffs[:k] = driven
-    else:
-        start_coeffs = _adjoint_multiply(fact.v_basis, problem.u0)
-        coeffs = np.exp(-t * problem.spectrum_n) * start_coeffs
-        coeffs = coeffs.astype(np.result_type(coeffs.dtype, driven.dtype))
-        coeffs[:k] += driven
-    return _left_multiply(fact.v_basis, coeffs)
+        return _left_multiply(fact.v_basis, driven)
+    start_coeffs = _adjoint_multiply(fact.v_basis, problem.u0)
+    coeffs = np.expm1(-t * fact.eigenvalues) * start_coeffs + driven
+    return problem.u0 + _left_multiply(fact.v_basis, coeffs)
 
 
 def _scaled_norm(values: np.ndarray) -> float:
@@ -232,21 +214,27 @@ def _scaled_norm(values: np.ndarray) -> float:
     return scale * float(np.linalg.norm(values / scale))
 
 
-def _norm_and_slope(damped: np.ndarray, rate: np.ndarray) -> tuple[float, float]:
-    """psi = ||damped|| and psi' = -sum(rate * damped**2) / psi in one pass.
+def _floor(stuck: np.ndarray, off_range: float) -> float:
+    """Norm of the residual that never decays: zero-eigenvalue modes and off-range data."""
+    return math.hypot(_scaled_norm(stuck), off_range)
+
+
+def _norm_and_slope(damped: np.ndarray, rate: np.ndarray, off_range: float) -> tuple[float, float]:
+    """psi = ||(damped, off_range)|| and psi' = -sum(rate * damped**2) / psi in one pass.
 
     This is the one residual kernel: each mode contributes its damped
-    residual modulus and the rate at which the damping decays it. The moduli
-    are rescaled by their maximum before squaring, so the squares underflow
-    only where they are negligible. ``damped`` is overwritten. psi' is
-    reported as 0 when psi itself is 0.
+    residual modulus and the rate at which the damping decays it, and
+    ``off_range`` is the residual outside range(U), a mode that never
+    decays. The moduli are rescaled by their maximum before squaring, so the
+    squares underflow only where they are negligible. ``damped`` is
+    overwritten. psi' is reported as 0 when psi itself is 0.
     """
-    scale = float(damped.max(initial=0.0))
+    scale = max(float(damped.max(initial=0.0)), off_range)
     if scale == 0.0:
         return 0.0, 0.0
     damped /= scale
     damped *= damped
-    norm = math.sqrt(float(damped.sum()))
+    norm = math.sqrt(float(damped.sum()) + (off_range / scale) ** 2)
     return scale * norm, -scale * float(np.dot(rate, damped)) / norm
 
 
@@ -258,19 +246,19 @@ def _residual_pass(problem: NoisyProblem, t: float) -> tuple[float, float]:
     """
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t={t} must be nonnegative and finite")
-    lam = problem.spectrum_m
+    lam = problem.factorization.eigenvalues
     damped = lam * -t
     np.exp(damped, out=damped)
     damped *= np.abs(problem.initial_residual_coefficients)
-    return _norm_and_slope(damped, lam)
+    return _norm_and_slope(damped, lam, problem._off_range_norm)
 
 
 def discrepancy(problem: NoisyProblem, t: float) -> float:
     """Residual norm psi(t) = ||A u(t) - f_delta|| evaluated spectrally.
 
-    Modes with zero eigenvalue keep their initial residual forever, so
-    psi decreases monotonically from ||A u0 - f_delta|| to the residual
-    floor as t grows.
+    Modes with zero eigenvalue and the data outside range(U) keep their
+    initial residual forever, so psi decreases monotonically from
+    ||A u0 - f_delta|| to the residual floor as t grows.
     """
     return _residual_pass(problem, t)[0]
 
@@ -402,21 +390,22 @@ def landweber_integrate(problem: NoisyProblem, step: float, n_steps: int) -> np.
         raise DomainError("n_steps must be nonnegative")
     if not (np.isfinite(step) and step > 0):
         raise DomainError(f"step={step} must be positive and finite")
-    lam_max = float(problem.spectrum_n.max(initial=0.0))
+    fact = problem.factorization
+    lam = fact.eigenvalues
+    lam_max = float(lam.max(initial=0.0))
     if lam_max > 0 and step >= 2.0 / lam_max:
         raise UnstableStep(f"step {step} >= stability limit {2.0 / lam_max}")
-    fact = problem.factorization
     drift = step * adjoint_apply(fact, problem.f_delta)
     state = np.array(problem.u0, dtype=np.result_type(problem.u0.dtype, drift.dtype))
     if n_steps == 0:
         return state
     if fact.v_basis is None:
-        decay = 1.0 - step * problem.spectrum_n
+        decay = 1.0 - step * lam
         for _ in range(n_steps):
             state = decay * state + drift
         return state
     n = fact.shape[1]
-    gram = (fact.v_basis * problem.spectrum_n) @ fact.v_basis.conj().T
+    gram = (fact.v_basis * lam) @ fact.v_basis.conj().T
     propagator = np.eye(n, dtype=gram.dtype) - step * gram
     state = state.astype(np.result_type(state.dtype, propagator.dtype))
     buffer = np.empty_like(state)

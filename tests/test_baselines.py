@@ -36,6 +36,16 @@ def test_scalar_alpha_closed_form():
     assert report.newton_iterations >= 1
 
 
+def test_off_range_data_above_target_unattainable():
+    # A = e1 in R^3: the data along e2 lies outside range(A) and never decays
+    problem = NoisyProblem(factorize_svd([[1.0], [0.0], [0.0]]), np.array([1.0, 1.0, 0.0]), delta=0.1)
+    assert problem.residual_floor == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(UnattainableDiscrepancy):
+        vr_solve(problem, 1.5)
+    with pytest.raises(UnattainableDiscrepancy):
+        solve(problem, DiscrepancyRule(C=1.5))
+
+
 def test_small_alpha_limit_is_pseudo_inverse():
     matrix = random_matrix(77, 5, 5, 0.3, 2.0)
     fact = factorize_svd(matrix)
@@ -48,14 +58,16 @@ def test_small_alpha_limit_is_pseudo_inverse():
 
 
 def test_residual_hits_target_on_random_problems():
-    for seed in range(10):
-        problem = random_problem(seed + 500, m=6, n=6, sing_lo=0.01, sing_hi=2.0)
-        C = 1.2
-        report = vr_solve(problem, C)
-        target = C * problem.delta
-        assert abs(report.residual_norm - target) <= 1e-8 * target
-        direct = np.linalg.norm(apply(problem.factorization, report.solution) - problem.f_delta)
-        assert abs(report.residual_norm - direct) <= 1e-10 * direct
+    # a tall system's data outside range(U) stays in the residual at every alpha
+    for m, n in ((6, 6), (7, 3), (3, 7)):
+        for seed in range(10):
+            problem = random_problem(seed + 500, m, n, sing_lo=0.01, sing_hi=2.0)
+            C = 1.2
+            report = vr_solve(problem, C)
+            target = C * problem.delta
+            assert abs(report.residual_norm - target) <= 1e-8 * target
+            direct = np.linalg.norm(apply(problem.factorization, report.solution) - problem.f_delta)
+            assert abs(report.residual_norm - direct) <= 1e-10 * direct
 
 
 def test_vr_residual_increasing_in_alpha():
@@ -79,7 +91,7 @@ def test_alpha_matches_bisection_oracle(monkeypatch):
     C = 1.2
     for seed in range(10):
         problem = random_problem(seed + 700, m=6, n=6, sing_lo=0.01, sing_hi=2.0)
-        lam = problem.spectrum_m
+        lam = problem.factorization.eigenvalues
         coeffs = problem.rhs_coefficients
         target = C * problem.delta
 

@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from dsmg import GrayImage, NoiseSpec, add_noise, blur_periodic, gaussian_psf, read_pgm, synthetic_target, write_pgm
-from dsmg.cli import main, run_derivative_bench
+from dsmg import (
+    GrayImage,
+    MalformedFile,
+    NoiseSpec,
+    add_noise,
+    blur_periodic,
+    gaussian_psf,
+    read_pgm,
+    synthetic_target,
+    write_pgm,
+)
+from dsmg.cli import load_matrix, main, run_derivative_bench
 
 
 def write_text(path, content):
@@ -61,6 +71,17 @@ class TestSolveCommand:
         rhs = write_text(tmp_path / "f.txt", "2 1\n1\n2\n")
         code = main(["solve", matrix, rhs, "--delta", "0.01"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content, offset",
+        [("3 2\n1 2\n2\n4 5\n", 8), ("2 2\n1 0\n\nnope 1\n", 9), ("\n\n3 x\n", 2)],
+        ids=["short-row", "bad-number-after-blank-line", "bad-header-after-blank-lines"],
+    )
+    def test_bad_line_reported_at_its_own_offset(self, tmp_path, content, offset):
+        path = write_text(tmp_path / "a.txt", content)
+        with pytest.raises(MalformedFile) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.offset == offset
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
         # data entirely in the dead direction: discrepancy unattainable

@@ -44,10 +44,17 @@ class TestFactorizeSvd:
             a = random_matrix(seed, 6, 4, 1e-4, 1.0)
             fact = factorize_svd(a)
             m, n = fact.shape
-            u_defect = np.linalg.norm(fact.u_basis.conj().T @ fact.u_basis - np.eye(m))
-            v_defect = np.linalg.norm(fact.v_basis.conj().T @ fact.v_basis - np.eye(n))
+            k = min(m, n)
+            u_defect = np.linalg.norm(fact.u_basis.conj().T @ fact.u_basis - np.eye(k))
+            v_defect = np.linalg.norm(fact.v_basis.conj().T @ fact.v_basis - np.eye(k))
             assert u_defect <= 1e-10 * m
             assert v_defect <= 1e-10 * n
+
+    def test_tall_bases_are_thin(self):
+        a = np.random.default_rng(0).normal(size=(4000, 20))
+        fact = factorize_svd(a)
+        assert fact.u_basis.shape == (4000, 20)
+        assert fact.v_basis.shape == (20, 20)
 
     def test_eigenvalues_real_nonnegative(self):
         fact = factorize_svd(random_matrix(11, 5, 5, 1e-6, 1.0))
@@ -200,6 +207,12 @@ class TestValidation:
                 v_basis=None,
                 diag=np.array([1.0, 1.0]),
                 shape=(2, 2),
+            )
+
+    def test_rejects_identity_basis_of_tall_side(self):
+        with pytest.raises(DimensionMismatch):
+            SpectralFactorization(
+                u_basis=None, v_basis=np.eye(1), diag=np.array([1.0]), shape=(2, 1)
             )
 
     def test_rejects_wrong_diag_length(self):

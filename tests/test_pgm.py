@@ -86,3 +86,20 @@ def test_pixel_above_maxval_rejected(tmp_path):
     path.write_bytes(b"P2\n1 1\n10\n11\n")
     with pytest.raises(MalformedFile):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"P5\n4 1\n100\n" + bytes([1, 2, 200, 3]),
+        b"P2\n3 1\n100\n1 200 3\n",
+        b"P2\n2 1\n255\n5 -7\n",
+    ],
+    ids=["p5-above-maxval", "p2-above-maxval", "p2-negative"],
+)
+def test_bad_pixel_reported_at_its_own_offset(tmp_path, content):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(content)
+    with pytest.raises(MalformedFile) as excinfo:
+        read_pgm(path)
+    assert excinfo.value.offset == 13

@@ -92,8 +92,8 @@ def test_euler_oracle_equivalence():
     # closed form vs explicit Euler at step 1e-5 / lam_max
     for seed in range(3):
         problem = random_problem(seed + 4000, m=8, n=8, sing_lo=0.7, sing_hi=1.0)
-        lam_max = problem.spectrum_n.max()
-        lam_min = problem.spectrum_n.min()
+        lam_max = problem.factorization.eigenvalues.max()
+        lam_min = problem.factorization.eigenvalues.min()
         step = 1e-5 / lam_max
         t = min(1.0 / lam_max, 5.0 / lam_min)
         n_steps = int(round(t / step))
@@ -134,7 +134,7 @@ def test_exact_data_convergence_to_minimal_norm_solution():
         y = rng.normal(size=5)
         problem = NoisyProblem(fact, matrix @ y, delta=1e-9)
         pinv = minimal_norm_solution(fact, problem.f_delta)
-        lam_min = problem.spectrum_n.min()
+        lam_min = problem.factorization.eigenvalues.min()
         errors = [
             np.linalg.norm(solution_at(problem, 10.0 * k / lam_min) - pinv)
             for k in (1, 2, 3)
@@ -166,7 +166,8 @@ def test_rectangular_residual_floor(shape):
     f = rng.normal(size=m)
     problem = NoisyProblem(fact, f, delta=0.01)
     k = min(m, n)
-    coeffs = fact.u_basis.conj().T @ f
+    full_u = np.linalg.svd(matrix, full_matrices=True)[0]
+    coeffs = full_u.conj().T @ f
     floor = np.linalg.norm(coeffs[k:])
     assert abs(problem.residual_floor - floor) <= 1e-12
     assert discrepancy(problem, 1e6) >= floor * (1 - 1e-12)

@@ -98,7 +98,7 @@ class TestSolutionAt:
 
     def test_matches_euler_integration(self):
         problem = random_problem(2, m=6, n=6, sing_lo=0.5, sing_hi=1.0)
-        lam_max = problem.spectrum_n.max()
+        lam_max = problem.factorization.eigenvalues.max()
         step = 1e-5 / lam_max
         t = 0.37
         n_steps = int(round(t / step))
@@ -139,10 +139,32 @@ class TestDiscrepancy:
         rng = np.random.default_rng(7)
         start = rng.normal(size=4)
         problem = NoisyProblem(base.factorization, base.f_delta, base.delta, u0=start)
-        recomputed = problem.factorization.u_dense().conj().T @ (
+        recomputed = problem.factorization.u_basis.conj().T @ (
             apply(problem.factorization, start) - problem.f_delta
         )
         assert np.linalg.norm(problem.initial_residual_coefficients - recomputed) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7)])
+def test_thin_shapes_match_dense_gram_oracle(shape):
+    # u(t) = W [exp(-t L) W* u0 + filter(L, t) W* A* f] over the full
+    # eigendecomposition A*A = W L W*: the part of u0 outside span(V) and the
+    # data outside range(U) enter through the null modes of L
+    m, n = shape
+    rng = np.random.default_rng(11)
+    matrix = random_matrix(31, m, n, 0.2, 1.5)
+    f = rng.normal(size=m)
+    start = rng.normal(size=n)
+    problem = NoisyProblem(factorize_svd(matrix), f, delta=0.01, u0=start)
+    lam, w = np.linalg.eigh(matrix.T @ matrix)
+    lam = np.maximum(lam, 0.0)
+    for t in (0.3, 2.0, 40.0):
+        oracle = w @ (np.exp(-t * lam) * (w.T @ start) + evolution_filter(lam, t) * (w.T @ (matrix.T @ f)))
+        state = solution_at(problem, t)
+        assert np.linalg.norm(state - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        # the wide residual decays to rounding level, so compare on the scale of f
+        direct = np.linalg.norm(matrix @ oracle - f)
+        assert abs(discrepancy(problem, t) - direct) <= 1e-12 * np.linalg.norm(f)
 
 
 class TestDiscrepancyDerivative:
@@ -426,7 +448,7 @@ class TestLandweber:
 
     def test_matches_closed_form(self):
         problem = random_problem(12, m=6, n=6, sing_lo=0.5, sing_hi=1.0)
-        lam_max = problem.spectrum_n.max()
+        lam_max = problem.factorization.eigenvalues.max()
         step = 2e-4 / lam_max
         n_steps = int(round(0.5 / step))
         euler = landweber_integrate(problem, step, n_steps)
