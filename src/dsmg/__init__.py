@@ -17,13 +17,10 @@ from .deconvolution import (
     circular_convolve,
     deconvolve_1d,
     deconvolve_2d,
-    dft,
     gaussian_psf,
-    idft,
     synthetic_target,
 )
 from .errors import (
-    ComplexResidue,
     DegenerateResidual,
     DimensionMismatch,
     DomainError,
@@ -64,7 +61,6 @@ from .solver import (
 __all__ = [
     "AprioriRule",
     "CirculantProblem",
-    "ComplexResidue",
     "DegenerateResidual",
     "DimensionMismatch",
     "DiscrepancyRule",
@@ -92,7 +88,6 @@ __all__ = [
     "circular_convolve",
     "deconvolve_1d",
     "deconvolve_2d",
-    "dft",
     "discrepancy",
     "discrepancy_derivative",
     "evolution_filter",
@@ -100,7 +95,6 @@ __all__ = [
     "from_diagonal",
     "gaussian_psf",
     "greens_kernel",
-    "idft",
     "landweber_integrate",
     "minimal_norm_solution",
     "newton_solve_t",

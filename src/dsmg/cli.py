@@ -87,7 +87,10 @@ def load_matrix(path) -> np.ndarray:
         try:
             data[i] = [float(f) for f in fields]
         except ValueError:
-            raise MalformedFile(f"{path}: bad number in row {i + 1}", start) from None
+            data[i] = math.nan
+        # float() also reads nan, inf and digit-group underscores
+        if "_" in line or not np.isfinite(data[i]).all():
+            raise MalformedFile(f"{path}: bad number in row {i + 1}", start)
     return data
 
 

@@ -43,10 +43,6 @@ class UnstableStep(DsmgError):
     """Explicit Euler step size is at or beyond the stability limit."""
 
 
-class ComplexResidue(DsmgError):
-    """A nominally real signal came back with a large imaginary part."""
-
-
 class MalformedFile(DsmgError):
     """A file could not be parsed; ``offset`` is the failing byte position."""
 

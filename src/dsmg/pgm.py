@@ -43,10 +43,10 @@ class _Tokens:
 
     def next_int(self, what: str) -> int:
         token = self.next_token(what)
-        try:
-            return int(token)
-        except ValueError:
-            raise MalformedFile(f"invalid {what} {token!r}", self.start) from None
+        # ASCII digits only: int() would also take a sign and digit-group underscores
+        if not token.isdigit():
+            raise MalformedFile(f"invalid {what} {token!r}", self.start)
+        return int(token)
 
 
 def read_pgm(path) -> GrayImage:
@@ -87,8 +87,8 @@ def read_pgm(path) -> GrayImage:
         values = np.empty(count)
         for i in range(count):
             value = tokens.next_int("pixel value")
-            if not 0 <= value <= maxval:
-                raise MalformedFile(f"pixel {i} value {value} outside 0..{maxval}", tokens.start)
+            if value > maxval:
+                raise MalformedFile(f"pixel {i} value {value} exceeds maxval {maxval}", tokens.start)
             values[i] = value
     return GrayImage((values / maxval).reshape(height, width))
 

@@ -74,14 +74,24 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "content, offset",
-        [("3 2\n1 2\n2\n4 5\n", 8), ("2 2\n1 0\n\nnope 1\n", 9), ("\n\n3 x\n", 2)],
-        ids=["short-row", "bad-number-after-blank-line", "bad-header-after-blank-lines"],
+        [("3 2\n1 2\n2\n4 5\n", 8), ("2 2\n1 0\n\nnope 1\n", 9), ("\n\n3 x\n", 2)]
+        # float() reads each of these; only finite decimals are matrix entries
+        + [(f"2 2\n1 0\n0 {entry}\n", 8) for entry in ("nan", "inf", "-Infinity", "1_0", "1e999")],
+        ids=["short-row", "bad-number-after-blank-line", "bad-header-after-blank-lines",
+             "nan", "inf", "-infinity", "underscore", "overflow"],
     )
     def test_bad_line_reported_at_its_own_offset(self, tmp_path, content, offset):
         path = write_text(tmp_path / "a.txt", content)
         with pytest.raises(MalformedFile) as excinfo:
             load_matrix(path)
         assert excinfo.value.offset == offset
+
+    def test_nan_entry_exits_2(self, tmp_path, capsys):
+        matrix = write_text(tmp_path / "a.txt", "2 2\n1 0\n0 nan\n")
+        rhs = write_text(tmp_path / "f.txt", "2 1\n1\n2\n")
+        code = main(["solve", matrix, rhs, "--delta", "0.01"])
+        assert code == 2
+        assert "MalformedFile" in capsys.readouterr().err
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
         # data entirely in the dead direction: discrepancy unattainable

@@ -1,4 +1,4 @@
-"""DFT diagonalization, circular convolution, and 1-d/2-d deblurring."""
+"""Half-spectrum DFT diagonalization, circular convolution, and 1-d/2-d deblurring."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from dsmg import (
     AprioriRule,
     CirculantProblem,
-    ComplexResidue,
     DimensionMismatch,
     DiscrepancyRule,
     GrayImage,
@@ -17,22 +16,13 @@ from dsmg import (
     circular_convolve,
     deconvolve_1d,
     deconvolve_2d,
-    dft,
     factorize_svd,
     from_diagonal,
     gaussian_psf,
-    idft,
     solve,
     synthetic_target,
 )
-from dsmg.deconvolution import _to_real
-
-
-def direct_dft(x):
-    n = len(x)
-    return np.array(
-        [sum(x[j] * np.exp(-2j * np.pi * j * k / n) for j in range(n)) for k in range(n)]
-    )
+from dsmg.deconvolution import _deconvolve, _half_spectrum_weights
 
 
 def gaussian_kernel_1d(n, sigma):
@@ -43,30 +33,39 @@ def gaussian_kernel_1d(n, sigma):
 
 
 class TestDft:
-    def test_impulse(self):
-        impulse = np.zeros(8)
-        impulse[0] = 1.0
-        assert np.allclose(dft(impulse), np.ones(8), atol=1e-14)
-
-    def test_constant_signal(self):
-        out = dft(np.ones(4))
-        assert np.allclose(out, [4.0, 0.0, 0.0, 0.0], atol=1e-14)
-
-    def test_matches_direct_sum(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=16)
-        assert np.linalg.norm(dft(x) - direct_dft(x)) <= 1e-10
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=21)
-        back = idft(dft(x))
-        assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
-
     def test_parseval_scaling(self):
+        # the weighted half spectrum keeps the full unnormalized DFT's norm
         rng = np.random.default_rng(5)
-        x = rng.normal(size=32)
-        assert abs(np.linalg.norm(dft(x)) - np.sqrt(32) * np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
+        for shape in ((1, 32), (1, 31), (6, 9), (5, 8)):
+            x = rng.normal(size=shape)
+            weighted = np.fft.rfft2(x) * _half_spectrum_weights(shape[1])
+            expected = np.sqrt(x.size) * np.linalg.norm(x)
+            assert abs(np.linalg.norm(weighted) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("shape", [(1, 15), (1, 16), (9, 7), (8, 10)])
+    def test_matches_full_spectrum_oracle(self, shape):
+        # solving on the full complex fft2 spectrum is the reference; a wrong
+        # Nyquist weight (even width) or a spurious one (odd width) moves psi
+        rng = np.random.default_rng(15)
+        kernel = gaussian_psf(*shape, 1.0).pixels
+        truth = GrayImage(rng.uniform(size=shape))
+        blurred = blur_periodic(truth, GrayImage(kernel)).pixels
+        noisy_flat, delta = add_noise(blurred.ravel(), NoiseSpec(0.02, 6))
+        observed = noisy_flat.reshape(shape)
+        rule = DiscrepancyRule(C=1.1)
+        restored, report = _deconvolve(kernel, observed, delta, rule)
+        oracle = solve(
+            NoisyProblem(
+                factorization=from_diagonal(np.fft.fft2(kernel).ravel()),
+                f_delta=np.fft.fft2(observed).ravel(),
+                delta=np.sqrt(observed.size) * delta,
+            ),
+            rule,
+        )
+        expected = np.fft.ifft2(oracle.solution.reshape(shape)).real
+        assert abs(report.t_delta - oracle.t_delta) <= 1e-12 * oracle.t_delta
+        assert np.linalg.norm(restored - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert report.newton_iterations == oracle.newton_iterations
 
 
 class TestCircularConvolve:
@@ -96,8 +95,8 @@ class TestCircularConvolve:
         for n in (5, 8, 16):
             h = rng.normal(size=n)
             f = rng.normal(size=n)
-            lhs = dft(circular_convolve(h, f))
-            rhs = dft(h) * dft(f)
+            lhs = np.fft.fft(circular_convolve(h, f))
+            rhs = np.fft.fft(h) * np.fft.fft(f)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
     def test_length_mismatch(self):
@@ -135,7 +134,7 @@ class TestDeconvolve1d:
         observed, delta = add_noise(clean, NoiseSpec(0.01, 11))
         problem = CirculantProblem(kernel, observed, delta=delta)
         restored, _ = deconvolve_1d(problem, DiscrepancyRule(C=1.1))
-        naive = idft(dft(observed) / dft(kernel)).real
+        naive = np.fft.ifft(np.fft.fft(observed) / np.fft.fft(kernel)).real
         err_restored = np.linalg.norm(restored - truth)
         err_naive = np.linalg.norm(naive - truth)
         assert err_restored < err_naive
@@ -149,13 +148,13 @@ class TestDeconvolve1d:
         problem = CirculantProblem(kernel, observed, delta=delta)
         report = solve(
             NoisyProblem(
-                factorization=from_diagonal(dft(kernel)),
-                f_delta=dft(observed),
+                factorization=from_diagonal(np.fft.fft(kernel)),
+                f_delta=np.fft.fft(observed),
                 delta=np.sqrt(n) * delta,
             ),
             DiscrepancyRule(C=1.1),
         )
-        recovered = idft(report.solution)
+        recovered = np.fft.ifft(report.solution)
         assert np.linalg.norm(recovered.imag) <= 1e-8 * np.linalg.norm(recovered)
 
     def test_matches_dense_circulant_path(self):
@@ -172,11 +171,6 @@ class TestDeconvolve1d:
         dense_report = solve(dense_problem, rule)
         gap = np.linalg.norm(fourier_restored - dense_report.solution)
         assert gap <= 1e-8 * np.linalg.norm(dense_report.solution)
-
-    def test_complex_residue_guard(self):
-        # fabricated spectrum without conjugate symmetry must be rejected
-        with pytest.raises(ComplexResidue):
-            _to_real(np.array([1.0 + 1.0j, 2.0, 3.0]))
 
 
 class TestDeconvolve2d:

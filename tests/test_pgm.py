@@ -103,3 +103,17 @@ def test_bad_pixel_reported_at_its_own_offset(tmp_path, content):
     with pytest.raises(MalformedFile) as excinfo:
         read_pgm(path)
     assert excinfo.value.offset == 13
+
+
+@pytest.mark.parametrize(
+    "content, offset",
+    [(b"P2\n2 1\n1_0\n+5 1_0\n", 7), (b"P2\n+5 1\n255\n0 0 0 0 0\n", 3)],
+    ids=["underscore-maxval", "signed-width"],
+)
+def test_non_digit_integer_reported_at_token_start(tmp_path, content, offset):
+    # int() would read "1_0" as 10 and "+5" as 5
+    path = tmp_path / "signed.pgm"
+    path.write_bytes(content)
+    with pytest.raises(MalformedFile) as excinfo:
+        read_pgm(path)
+    assert excinfo.value.offset == offset
