@@ -49,6 +49,14 @@ class BenchmarkRow:
     delta_rel: float
 
 
+def _ascii_int(token: str) -> int:
+    # ASCII digits only: int() would also take a sign, digit-group underscores
+    # and non-ASCII digits
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def load_matrix(path) -> np.ndarray:
     """Parse the text matrix format; raises MalformedFile on any defect."""
     try:
@@ -70,7 +78,7 @@ def load_matrix(path) -> np.ndarray:
     if len(header) != 2:
         raise MalformedFile(f"{path}: first line must be 'm n'", header_at)
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _ascii_int(header[0]), _ascii_int(header[1])
     except ValueError:
         raise MalformedFile(f"{path}: non-integer dimensions {header}", header_at) from None
     if rows < 1 or cols < 1 or len(lines) - 1 != rows:
@@ -194,7 +202,7 @@ def rows_to_csv(rows) -> str:
 def _parse_int_list(text: str):
     if not text.strip():
         return []
-    return [int(part) for part in text.split(",")]
+    return [_ascii_int(part.strip()) for part in text.split(",")]
 
 
 def cmd_derivative_bench(args) -> int:

@@ -13,6 +13,7 @@ from dsmg import (
     blur_periodic,
     gaussian_psf,
     read_pgm,
+    second_derivative_problem,
     synthetic_target,
     write_pgm,
 )
@@ -76,9 +77,12 @@ class TestSolveCommand:
         "content, offset",
         [("3 2\n1 2\n2\n4 5\n", 8), ("2 2\n1 0\n\nnope 1\n", 9), ("\n\n3 x\n", 2)]
         # float() reads each of these; only finite decimals are matrix entries
-        + [(f"2 2\n1 0\n0 {entry}\n", 8) for entry in ("nan", "inf", "-Infinity", "1_0", "1e999")],
+        + [(f"2 2\n1 0\n0 {entry}\n", 8) for entry in ("nan", "inf", "-Infinity", "1_0", "1e999")]
+        # int() reads both headers, as 10 x 1 and 2 x 1; dimensions are ASCII digits only
+        + [("\n1_0 1\n" + "1\n" * 10, 1), ("\n+2 1\n1\n1\n", 1)],
         ids=["short-row", "bad-number-after-blank-line", "bad-header-after-blank-lines",
-             "nan", "inf", "-infinity", "underscore", "overflow"],
+             "nan", "inf", "-infinity", "underscore", "overflow",
+             "underscore-header", "signed-header"],
     )
     def test_bad_line_reported_at_its_own_offset(self, tmp_path, content, offset):
         path = write_text(tmp_path / "a.txt", content)
@@ -92,6 +96,15 @@ class TestSolveCommand:
         code = main(["solve", matrix, rhs, "--delta", "0.01"])
         assert code == 2
         assert "MalformedFile" in capsys.readouterr().err
+
+    def test_repr_written_matrix_reads_back_bit_for_bit(self, tmp_path):
+        # exact symmetry must survive the text format: it routes a dense
+        # solve to the eigh factorization
+        matrix = second_derivative_problem(60, math.sin).matrix
+        rows = "\n".join(" ".join(map(repr, row)) for row in matrix.tolist())
+        loaded = load_matrix(write_text(tmp_path / "a.txt", f"60 60\n{rows}\n"))
+        assert loaded.tobytes() == matrix.tobytes()
+        assert np.array_equal(loaded, loaded.T)
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
         # data entirely in the dead direction: discrepancy unattainable
@@ -138,6 +151,16 @@ class TestDerivativeBench:
 
     def test_bad_n_list_exits_2(self, capsys):
         assert main(["derivative-bench", "--N", "10,twenty"]) == 2
+
+    @pytest.mark.parametrize(
+        "option", [["--seeds=-1"], ["--N", "1_0", "--seeds", "0"]], ids=["negative-seed", "underscore-n"]
+    )
+    def test_non_digit_list_entry_exits_2(self, option, capsys):
+        # int() reads both: -1 then fails in the noise generator, 1_0 runs N = 10
+        assert main(["derivative-bench", *option]) == 2
+        captured = capsys.readouterr()
+        assert "MalformedFile" in captured.err
+        assert captured.out == ""
 
     def test_failed_cell_marked_and_exit_3(self, capsys):
         # C*delta above the data norm: the baseline raises PreconditionViolated,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_matrix
+from conftest import random_matrix, random_orthogonal
 from dsmg import (
     DimensionMismatch,
     DomainError,
@@ -14,6 +14,36 @@ from dsmg import (
     from_diagonal,
     minimal_norm_solution,
 )
+
+
+def symmetric_matrix(seed: int, eigenvalues) -> np.ndarray:
+    """Q diag(eigenvalues) Q^T; (b + b^T) / 2 is symmetric bit for bit."""
+    q = random_orthogonal(np.random.default_rng(seed), len(eigenvalues))
+    b = (q * np.asarray(eigenvalues)) @ q.T
+    return (b + b.T) / 2.0
+
+
+def hermitian_matrix(seed: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return b + b.conj().T
+
+
+# square inputs equal to their conjugate transpose, which factorize_svd
+# factors by eigh
+SYMMETRIC_CASES = {
+    "indefinite": symmetric_matrix(1, [3.0, -2.0, 1.0, -0.5, 0.1]),
+    "zero-eigenvalue": np.ones((4, 4)),  # eigenvalues 4, 0, 0, 0
+    "repeated-eigenvalue": symmetric_matrix(2, [2.0, -2.0, 2.0, 1.0, 0.5]),
+    "complex-hermitian": hermitian_matrix(3, 5),
+}
+
+
+def one_ulp_asymmetric(a: np.ndarray) -> np.ndarray:
+    """Copy of ``a`` whose (0, 1) entry is moved up by one ulp (real part)."""
+    out = a.copy()
+    out.real[0, 1] = np.nextafter(out.real[0, 1], np.inf)
+    return out
 
 
 class TestFactorizeSvd:
@@ -28,20 +58,23 @@ class TestFactorizeSvd:
         assert np.allclose(fact.diag, [3.0, 2.0], atol=1e-14)
 
     def test_diag_sorted_nonincreasing(self):
-        fact = factorize_svd(random_matrix(3, 7, 5, 1e-3, 2.0))
-        assert np.all(np.diff(fact.diag) <= 0)
-        assert np.all(fact.diag >= 0)
+        for a in [random_matrix(3, 7, 5, 1e-3, 2.0), *SYMMETRIC_CASES.values()]:
+            fact = factorize_svd(a)
+            assert np.all(np.diff(fact.diag) <= 0)
+            assert np.all(fact.diag >= 0)
 
     def test_reconstruction_random(self):
-        for seed, (m, n) in enumerate([(4, 4), (5, 3), (3, 6)]):
-            a = random_matrix(seed, m, n, 0.01, 3.0)
+        cases = [random_matrix(seed, m, n, 0.01, 3.0)
+                 for seed, (m, n) in enumerate([(4, 4), (5, 3), (3, 6)])]
+        for a in cases + list(SYMMETRIC_CASES.values()):
+            m, n = a.shape
             fact = factorize_svd(a)
             defect = np.linalg.norm(fact.to_matrix() - a)
             assert defect <= 1e-10 * min(m, n) * np.linalg.norm(a)
 
     def test_unitarity_invariant(self):
-        for seed in range(5):
-            a = random_matrix(seed, 6, 4, 1e-4, 1.0)
+        cases = [random_matrix(seed, 6, 4, 1e-4, 1.0) for seed in range(5)]
+        for a in cases + list(SYMMETRIC_CASES.values()):
             fact = factorize_svd(a)
             m, n = fact.shape
             k = min(m, n)
@@ -49,6 +82,30 @@ class TestFactorizeSvd:
             v_defect = np.linalg.norm(fact.v_basis.conj().T @ fact.v_basis - np.eye(k))
             assert u_defect <= 1e-10 * m
             assert v_defect <= 1e-10 * n
+
+    @pytest.mark.parametrize("name", SYMMETRIC_CASES)
+    def test_symmetric_diag_matches_singular_values(self, name):
+        a = SYMMETRIC_CASES[name]
+        expected = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(factorize_svd(a).diag - expected)) <= 1e-12 * expected[0]
+
+    @pytest.mark.parametrize("name", SYMMETRIC_CASES)
+    def test_eigh_only_for_exactly_symmetric_input(self, name, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        factorize_svd(SYMMETRIC_CASES[name])
+        assert len(calls) == 1
+        calls.clear()
+        asymmetric = one_ulp_asymmetric(SYMMETRIC_CASES[name])
+        fact = factorize_svd(asymmetric)
+        assert len(calls) == 0
+        assert np.linalg.norm(fact.to_matrix() - asymmetric) <= 1e-12 * np.linalg.norm(asymmetric)
 
     def test_tall_bases_are_thin(self):
         a = np.random.default_rng(0).normal(size=(4000, 20))

@@ -15,6 +15,7 @@ from dsmg import (
     NoiseSpec,
     NoisyProblem,
     PreconditionViolated,
+    SpectralFactorization,
     UnattainableDiscrepancy,
     UnstableStep,
     add_noise,
@@ -165,6 +166,25 @@ def test_thin_shapes_match_dense_gram_oracle(shape):
         # the wide residual decays to rounding level, so compare on the scale of f
         direct = np.linalg.norm(matrix @ oracle - f)
         assert abs(discrepancy(problem, t) - direct) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symmetric_factorization_matches_svd_oracle(seed):
+    # the Green's kernel of u'' is exactly symmetric, so factorize_svd takes
+    # the eigh path; a factorization built from np.linalg.svd is the oracle
+    base = second_derivative_problem(200, lambda x: math.sin(2.0 * math.pi * x))
+    assert np.array_equal(base.matrix, base.matrix.T)
+    u, s, vh = np.linalg.svd(base.matrix)
+    oracle = SpectralFactorization(u_basis=u, v_basis=vh.T, diag=s, shape=base.matrix.shape)
+    rhs, delta = add_noise(base.exact_rhs, NoiseSpec(0.01, seed))
+    fast = NoisyProblem(factorize_svd(base.matrix), rhs, delta)
+    slow = NoisyProblem(oracle, rhs, delta)
+    ours, ref = solve(fast, DiscrepancyRule(C=1.1)), solve(slow, DiscrepancyRule(C=1.1))
+    assert abs(ours.t_delta - ref.t_delta) <= 1e-10 * ref.t_delta
+    assert ours.newton_iterations == ref.newton_iterations
+    ours, ref = vr_solve(fast, 1.1), vr_solve(slow, 1.1)
+    assert abs(ours.alpha - ref.alpha) <= 1e-10 * ref.alpha
+    assert ours.newton_iterations == ref.newton_iterations
 
 
 class TestDiscrepancyDerivative:
