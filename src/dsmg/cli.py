@@ -7,12 +7,13 @@ Subcommands:
     deblur           deblur a PGM image with a PGM point-spread function
 
 Matrix and vector files are plain text: first line "m n", then m rows of n
-whitespace-separated decimals (vectors are m x 1 or 1 x n). Exit codes:
+whitespace-separated finite decimals (vectors are m x 1 or 1 x n). Exit codes:
 0 success, 2 parse or usage error, 3 solver error. Reruns with the same
 arguments reproduce CSV and PGM outputs byte for byte.
 """
 
 import argparse
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -57,6 +58,12 @@ def _ascii_int(token: str) -> int:
     return int(token)
 
 
+# the bytes of "m n" rows of finite decimals; a file with any other byte (a letter
+# of "nan", "_", or a form feed, which str.splitlines takes for a line break and
+# np.loadtxt for a blank) goes to the row loop
+_DECIMAL_BYTES = b"0123456789.eE+- \t\r\n"
+
+
 def load_matrix(path) -> np.ndarray:
     """Parse the text matrix format; raises MalformedFile on any defect."""
     try:
@@ -64,6 +71,35 @@ def load_matrix(path) -> np.ndarray:
             raw = handle.read()
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc
+    data = _load_bulk(raw)
+    return data if data is not None else _load_rows(path, raw)
+
+
+def _load_bulk(raw: bytes):
+    """One np.loadtxt call over the rows; None whenever the row loop must decide.
+
+    Both this and the row loop round with CPython's PyOS_string_to_double, so a
+    file accepted here reads back with the same bytes."""
+    if raw.translate(None, _DECIMAL_BYTES):
+        return None
+    head, _, body = raw.lstrip().partition(b"\n")
+    header = head.split()
+    # a lone CR ends the header line for str.splitlines but not for partition;
+    # np.loadtxt warns on a blank body
+    if b"\r" in head.rstrip() or len(header) != 2 or not body.strip():
+        return None
+    try:
+        rows, cols = _ascii_int(header[0].decode()), _ascii_int(header[1].decode())
+        data = np.loadtxt(io.BytesIO(body), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (rows, cols) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _load_rows(path, raw: bytes) -> np.ndarray:
+    """Line-by-line parse that reports the byte offset of the first bad line."""
     text = raw.decode("ascii", errors="replace")
     # (byte offset, line) of each nonblank line; ascii decoding keeps one char per byte
     lines = []
@@ -219,6 +255,22 @@ def cmd_derivative_bench(args) -> int:
     return 0
 
 
+def _truth_errors(path, observed, restored):
+    """Relative errors of the observed and restored images against a truth PGM."""
+    truth = read_pgm(path)
+    if truth.pixels.shape != observed.pixels.shape:
+        raise MalformedFile(
+            f"{path}: truth is {truth.width} x {truth.height}, "
+            f"image is {observed.width} x {observed.height}", 0
+        )
+    scale = float(np.linalg.norm(truth.pixels))
+    if scale == 0:
+        raise MalformedFile(f"{path}: truth image is identically zero", 0)
+    err_in = float(np.linalg.norm(observed.pixels - truth.pixels)) / scale
+    err_out = float(np.linalg.norm(restored.pixels - truth.pixels)) / scale
+    return err_in, err_out
+
+
 def cmd_deblur(args) -> int:
     observed = read_pgm(args.image)
     psf = read_pgm(args.psf)
@@ -229,16 +281,16 @@ def cmd_deblur(args) -> int:
     psf = GrayImage(psf.pixels / mass)
     rule = _make_rule(args)
     restored, report = deconvolve_2d(observed, psf, args.delta_rel, rule)
+    # the truth is read only now, so its pixels are not alive through the solve,
+    # and before the write, so a bad truth leaves no output file
+    if args.truth is not None:
+        err_in, err_out = _truth_errors(args.truth, observed, restored)
     write_pgm(restored, args.out)
     print(f"t_delta = {_format(report.t_delta)}")
     print(f"newton_iterations = {report.newton_iterations}")
     print(f"residual_norm = {_format(report.residual_norm)}")
     print(f"restored = {args.out}")
     if args.truth is not None:
-        truth = read_pgm(args.truth)
-        scale = float(np.linalg.norm(truth.pixels))
-        err_in = float(np.linalg.norm(observed.pixels - truth.pixels)) / scale
-        err_out = float(np.linalg.norm(restored.pixels - truth.pixels)) / scale
         print(f"input_relative_error = {_format(err_in)}")
         print(f"restored_relative_error = {_format(err_out)}")
         print(f"improved = {err_out < err_in}")

@@ -11,6 +11,7 @@ from dsmg import (
     NoiseSpec,
     add_noise,
     blur_periodic,
+    cli,
     gaussian_psf,
     read_pgm,
     second_derivative_problem,
@@ -105,6 +106,30 @@ class TestSolveCommand:
         loaded = load_matrix(write_text(tmp_path / "a.txt", f"60 60\n{rows}\n"))
         assert loaded.tobytes() == matrix.tobytes()
         assert np.array_equal(loaded, loaded.T)
+
+    def test_repr_written_matrix_takes_one_loadtxt_call(self, tmp_path, monkeypatch):
+        calls = {"loadtxt": 0, "rows": 0}
+        loadtxt, load_rows = np.loadtxt, cli._load_rows
+
+        def counting_loadtxt(*args, **kwargs):
+            calls["loadtxt"] += 1
+            return loadtxt(*args, **kwargs)
+
+        def counting_rows(*args):
+            calls["rows"] += 1
+            return load_rows(*args)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        monkeypatch.setattr(cli, "_load_rows", counting_rows)
+        matrix = np.random.default_rng(0).normal(size=(30, 20)) * 1e-3
+        rows = "\n".join(" ".join(map(repr, row)) for row in matrix.tolist())
+        loaded = load_matrix(write_text(tmp_path / "a.txt", f"30 20\n{rows}\n"))
+        assert loaded.tobytes() == matrix.tobytes()
+        assert calls == {"loadtxt": 1, "rows": 0}
+        with pytest.raises(MalformedFile) as excinfo:
+            load_matrix(write_text(tmp_path / "b.txt", "2 2\n1 0\n0 nan\n"))
+        assert excinfo.value.offset == 8
+        assert calls == {"loadtxt": 1, "rows": 1}
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
         # data entirely in the dead direction: discrepancy unattainable
@@ -225,6 +250,27 @@ class TestDeblur:
         assert values["improved"] == "True"
         assert float(values["restored_relative_error"]) < float(values["input_relative_error"])
         assert int(values["newton_iterations"]) <= 10
+
+    @pytest.mark.parametrize(
+        "truth", [np.full((16, 12), 0.5), np.zeros((16, 16))], ids=["other-shape", "all-zero"]
+    )
+    def test_bad_truth_exits_2_without_output(self, tmp_path, capsys, truth):
+        image = GrayImage(np.random.default_rng(2).uniform(0.1, 0.9, size=(16, 16)))
+        delta_psf = np.zeros((16, 16))
+        delta_psf[0, 0] = 1.0
+        paths = [tmp_path / name for name in ("img.pgm", "delta.pgm", "truth.pgm", "out.pgm")]
+        write_pgm(image, paths[0])
+        write_pgm(GrayImage(delta_psf), paths[1])
+        write_pgm(GrayImage(truth), paths[2])
+        code = main(
+            ["deblur", str(paths[0]), str(paths[1]), "--delta-rel", "0.01",
+             "--truth", str(paths[2]), "--out", str(paths[3])]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "MalformedFile" in captured.err
+        assert captured.out == ""
+        assert not paths[3].exists()
 
     def test_missing_psf_exits_2(self, deblur_files, capsys):
         code = main(

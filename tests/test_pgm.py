@@ -117,3 +117,17 @@ def test_non_digit_integer_reported_at_token_start(tmp_path, content, offset):
     with pytest.raises(MalformedFile) as excinfo:
         read_pgm(path)
     assert excinfo.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "content, offset",
+    [(b"P2\n1 1\n255\n" + b"0" * 5000 + b"7\n", 11), (b"P2\n" + b"9" * 5000 + b" 1\n255\n0\n", 3)],
+    ids=["pixel", "width"],
+)
+def test_integer_past_int_digit_limit_reported_at_token_start(tmp_path, content, offset):
+    # int() refuses strings of more than 4300 digits with a ValueError
+    path = tmp_path / "long.pgm"
+    path.write_bytes(content)
+    with pytest.raises(MalformedFile) as excinfo:
+        read_pgm(path)
+    assert excinfo.value.offset == offset
