@@ -15,6 +15,7 @@ arguments reproduce CSV and PGM outputs byte for byte.
 import argparse
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -62,6 +63,7 @@ def _ascii_int(token: str) -> int:
 # of "nan", "_", or a form feed, which str.splitlines takes for a line break and
 # np.loadtxt for a blank) goes to the row loop
 _DECIMAL_BYTES = b"0123456789.eE+- \t\r\n"
+_BLANKS = re.compile(rb"\s*")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -82,15 +84,22 @@ def _load_bulk(raw: bytes):
     file accepted here reads back with the same bytes."""
     if raw.translate(None, _DECIMAL_BYTES):
         return None
-    head, _, body = raw.lstrip().partition(b"\n")
-    header = head.split()
-    # a lone CR ends the header line for str.splitlines but not for partition;
-    # np.loadtxt warns on a blank body
-    if b"\r" in head.rstrip() or len(header) != 2 or not body.strip():
+    # offsets, not slices: each slice or strip of the file would copy it whole
+    start = _BLANKS.match(raw).end()
+    end = raw.find(b"\n", start)
+    if end < 0:  # no row after the header
         return None
+    line = raw[start:end]
+    head = line.split()
+    # a lone CR ends the header line for str.splitlines but not for find;
+    # np.loadtxt warns on a blank body
+    if len(head) != 2 or b"\r" in line.rstrip() or _BLANKS.match(raw, end + 1).end() == len(raw):
+        return None
+    body = io.BytesIO(raw)
+    body.seek(end + 1)
     try:
-        rows, cols = _ascii_int(header[0].decode()), _ascii_int(header[1].decode())
-        data = np.loadtxt(io.BytesIO(body), comments=None, ndmin=2)
+        rows, cols = _ascii_int(head[0].decode()), _ascii_int(head[1].decode())
+        data = np.loadtxt(body, comments=None, ndmin=2)
     except ValueError:
         return None
     if data.shape != (rows, cols) or not np.isfinite(data).all():

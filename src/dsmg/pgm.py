@@ -87,31 +87,13 @@ def read_pgm(path) -> GrayImage:
         if len(over):
             raise MalformedFile(f"pixel {over[0]} exceeds maxval {maxval}", start + int(over[0]))
     else:
-        values = _read_p2_bulk(data[tokens.pos:], count, maxval)
-        if values is None:
-            # token by token, to report the offset of the bad pixel
-            values = np.empty(count)
-            for i in range(count):
-                value = tokens.next_int("pixel value")
-                if value > maxval:
-                    raise MalformedFile(
-                        f"pixel {i} value {value} exceeds maxval {maxval}", tokens.start
-                    )
-                values[i] = value
+        values = np.empty(count)
+        for i in range(count):
+            value = tokens.next_int("pixel value")
+            if value > maxval:
+                raise MalformedFile(f"pixel {i} value {value} exceeds maxval {maxval}", tokens.start)
+            values[i] = value
     return GrayImage((values / maxval).reshape(height, width))
-
-
-def _read_p2_bulk(raster: bytes, count: int, maxval: int):
-    """All pixels at once; None whenever the token loop must find the bad one."""
-    # bytes.split() splits on exactly _WHITESPACE; a comment's "#" fails isdigit()
-    pixels = raster.split()[:count]
-    if len(pixels) < count or not b"".join(pixels).isdigit():
-        return None
-    try:
-        values = np.array(list(map(int, pixels)), float)
-    except ValueError:  # past int()'s limit on the number of digits
-        return None
-    return values if values.max() <= maxval else None
 
 
 def write_pgm(image: GrayImage, path, binary: bool = True) -> None:

@@ -1,4 +1,4 @@
-"""Text-matrix and PGM parsers: bulk paths against the offset loops, byte fuzzing."""
+"""Text-matrix and PGM parsers: the bulk matrix parse against the row loop, byte fuzzing."""
 
 import pytest
 from hypothesis import given, settings
@@ -108,19 +108,6 @@ def p2_files(draw) -> bytes:
     sep = st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "  ", " # c\n"])
     raster = "".join(draw(sep) + draw(pixel) for _ in range(max(count, 0)))
     return (header + raster + draw(st.sampled_from(["", "\n", " #\n", " x"]))).encode()
-
-
-def read_by_tokens(path):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pgm, "_read_p2_bulk", lambda raster, count, maxval: None)
-        return pgm.read_pgm(path)
-
-
-@given(content=p2_files())
-@FUZZ
-def test_p2_read_matches_token_loop(write_file, content):
-    path = write_file(content)
-    assert outcome(lambda: pgm.read_pgm(path).pixels) == outcome(lambda: read_by_tokens(path).pixels)
 
 
 @given(content=st.one_of(
