@@ -14,14 +14,12 @@ from .deconvolution import (
     CirculantProblem,
     GrayImage,
     blur_periodic,
-    circular_convolve,
     deconvolve_1d,
     deconvolve_2d,
     gaussian_psf,
     synthetic_target,
 )
 from .errors import (
-    DegenerateResidual,
     DimensionMismatch,
     DomainError,
     DsmgError,
@@ -30,30 +28,18 @@ from .errors import (
     MalformedFile,
     PreconditionViolated,
     UnattainableDiscrepancy,
-    UnstableStep,
 )
-from .linalg import (
-    SpectralFactorization,
-    adjoint_apply,
-    apply,
-    factorize_svd,
-    from_diagonal,
-    minimal_norm_solution,
-)
+from .linalg import SpectralFactorization, factorize_svd, from_diagonal
 from .pgm import read_pgm, write_pgm
-from .problems import NoiseSpec, TestProblem, add_noise, greens_kernel, second_derivative_problem
+from .problems import NoiseSpec, TestProblem, add_noise, second_derivative_problem
 from .solver import (
     AprioriRule,
     DiscrepancyRule,
-    NewtonResult,
     NoisyProblem,
     SolveReport,
     StoppingRule,
     discrepancy,
-    discrepancy_derivative,
     evolution_filter,
-    landweber_integrate,
-    newton_solve_t,
     solution_at,
     solve,
 )
@@ -61,7 +47,6 @@ from .solver import (
 __all__ = [
     "AprioriRule",
     "CirculantProblem",
-    "DegenerateResidual",
     "DimensionMismatch",
     "DiscrepancyRule",
     "DomainError",
@@ -70,7 +55,6 @@ __all__ = [
     "GrayImage",
     "IterationBudgetExceeded",
     "MalformedFile",
-    "NewtonResult",
     "NoiseSpec",
     "NoisyProblem",
     "PreconditionViolated",
@@ -79,25 +63,16 @@ __all__ = [
     "StoppingRule",
     "TestProblem",
     "UnattainableDiscrepancy",
-    "UnstableStep",
     "VRReport",
     "add_noise",
-    "adjoint_apply",
-    "apply",
     "blur_periodic",
-    "circular_convolve",
     "deconvolve_1d",
     "deconvolve_2d",
     "discrepancy",
-    "discrepancy_derivative",
     "evolution_filter",
     "factorize_svd",
     "from_diagonal",
     "gaussian_psf",
-    "greens_kernel",
-    "landweber_integrate",
-    "minimal_norm_solution",
-    "newton_solve_t",
     "read_pgm",
     "second_derivative_problem",
     "solution_at",

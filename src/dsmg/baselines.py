@@ -70,6 +70,8 @@ def vr_solve(problem: NoisyProblem, C: float) -> VRReport:
     search = _newton_on_log_psi(
         lambda beta: _vr_residual(problem, beta), C * problem.delta, floor
     )
+    # the search stops at beta = 0 when ||f_delta|| is at, below or within
+    # its tolerance of the target
     if search.t_delta == 0.0:
         raise PreconditionViolated("||f_delta|| meets C*delta; only alpha -> inf fits")
     alpha = 1.0 / search.t_delta

@@ -81,20 +81,6 @@ class GrayImage:
         return GrayImage(np.clip(self.pixels, 0.0, 1.0))
 
 
-def circular_convolve(kernel, signal) -> np.ndarray:
-    """Periodic convolution g_i = sum_j h_j f_{(i-j) mod N} by direct summation."""
-    h = np.asarray(kernel, dtype=float)
-    f = np.asarray(signal, dtype=float)
-    if h.shape != f.shape or h.ndim != 1:
-        raise DimensionMismatch(
-            f"kernel shape {h.shape} and signal shape {f.shape} must be equal 1-d"
-        )
-    out = np.zeros(len(f))
-    for shift, weight in enumerate(h):
-        out += weight * np.roll(f, shift)
-    return out
-
-
 def _half_spectrum_weights(width: int) -> np.ndarray:
     """Per-column weights that make the ``rfft2`` half spectrum an isometry.
 

@@ -17,10 +17,6 @@ class FactorizationFailure(DsmgError):
     """The underlying SVD/eigen iteration did not converge."""
 
 
-class DegenerateResidual(DsmgError):
-    """The residual norm is exactly zero, so its derivative is undefined."""
-
-
 class UnattainableDiscrepancy(DsmgError):
     """The residual cannot decay to C*delta.
 
@@ -37,10 +33,6 @@ class PreconditionViolated(DsmgError):
 
 class IterationBudgetExceeded(DsmgError):
     """An iteration did not converge within its fixed budget."""
-
-
-class UnstableStep(DsmgError):
-    """Explicit Euler step size is at or beyond the stability limit."""
 
 
 class MalformedFile(DsmgError):

@@ -20,7 +20,6 @@ from .errors import DimensionMismatch, DomainError, FactorizationFailure
 
 UNITARY_TOL_PER_DIM = 1e-10
 RECON_TOL_PER_DIM = 1e-10
-DEFAULT_RANK_TOL = 1e-12
 # largest modulus whose square is finite in float64
 MAX_SINGULAR_VALUE = float(np.sqrt(np.finfo(np.float64).max))
 
@@ -158,42 +157,3 @@ def from_diagonal(diag) -> SpectralFactorization:
     _require_finite(d, "diag")
     n = len(d)
     return SpectralFactorization(u_basis=None, v_basis=None, diag=d, shape=(n, n))
-
-
-def apply(fact: SpectralFactorization, x) -> np.ndarray:
-    """Compute A x = U S V* x."""
-    x = np.asarray(x)
-    n = fact.shape[1]
-    if x.shape != (n,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({n},)")
-    return _left_multiply(fact.u_basis, fact.diag * _adjoint_multiply(fact.v_basis, x))
-
-
-def adjoint_apply(fact: SpectralFactorization, y) -> np.ndarray:
-    """Compute A* y = V conj(S) U* y."""
-    y = np.asarray(y)
-    m = fact.shape[0]
-    if y.shape != (m,):
-        raise DimensionMismatch(f"y has shape {y.shape}, expected ({m},)")
-    return _left_multiply(fact.v_basis, fact.diag.conj() * _adjoint_multiply(fact.u_basis, y))
-
-
-def minimal_norm_solution(fact: SpectralFactorization, f, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse solution V diag(g) U* f with g_i = conj(s_i)/|s_i|^2.
-
-    Modes with |s_i|^2 at or below ``rank_tol`` times the largest eigenvalue
-    are treated as null directions and dropped, which makes the result
-    orthogonal to the numerical null space.
-    """
-    f = np.asarray(f)
-    m = fact.shape[0]
-    if f.shape != (m,):
-        raise DimensionMismatch(f"f has shape {f.shape}, expected ({m},)")
-    if rank_tol <= 0:
-        raise DomainError("rank_tol must be positive")
-    eig = fact.eigenvalues
-    cutoff = rank_tol * (eig.max() if len(eig) else 0.0)
-    gains = np.zeros(len(eig), dtype=np.result_type(fact.diag.dtype, float))
-    keep = eig > cutoff
-    gains[keep] = fact.diag[keep].conj() / eig[keep]
-    return _left_multiply(fact.v_basis, gains * _adjoint_multiply(fact.u_basis, f))

@@ -1,4 +1,4 @@
-"""PGM image files: binary P5 and ASCII P2, maxval up to 255.
+"""PGM image files: reads binary P5 and ASCII P2, writes P5; maxval up to 255.
 
 Pixels map linearly to [0, 1] on read; writing quantizes to the nearest of
 256 levels after clamping, so a write/read round trip is exact to 1/255.
@@ -96,17 +96,10 @@ def read_pgm(path) -> GrayImage:
     return GrayImage((values / maxval).reshape(height, width))
 
 
-def write_pgm(image: GrayImage, path, binary: bool = True) -> None:
-    """Write a GrayImage as P5 (binary, default) or P2 (ASCII) with maxval 255."""
+def write_pgm(image: GrayImage, path) -> None:
+    """Write a GrayImage as a binary P5 file with maxval 255."""
     quantized = np.rint(np.clip(image.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
-    header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n255\n"
+    header = f"P5\n{image.width} {image.height}\n255\n"
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
-        if binary:
-            handle.write(quantized.tobytes())
-        else:
-            flat = quantized.ravel()
-            for start in range(0, len(flat), 16):
-                chunk = flat[start:start + 16]
-                handle.write(" ".join(str(int(v)) for v in chunk).encode("ascii"))
-                handle.write(b"\n")
+        handle.write(quantized.tobytes())

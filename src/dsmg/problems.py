@@ -48,15 +48,6 @@ class NoiseSpec:
             raise DomainError(f"delta_rel={self.delta_rel} must lie in (0, 1)")
 
 
-def greens_kernel(s: float, t: float) -> float:
-    """Green's function of the second derivative on the unit square."""
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise DomainError(f"(s, t)=({s}, {t}) outside the unit square")
-    if s < t:
-        return s * (t - 1.0)
-    return t * (s - 1.0)
-
-
 def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestProblem:
     """Build the N x N second-derivative test problem for a given solution.
 

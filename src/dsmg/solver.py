@@ -8,14 +8,12 @@ solution path: given A = U S V*, the state at time t and the residual norm
 have closed spectral forms, so picking the stopping time reduces to scalar
 root finding. ``solve`` supports two stopping rules: the discrepancy
 principle psi(t) = C * delta solved by Newton's method on log psi from
-t = 0, one fused pass over the spectrum per iteration (log psi is convex and
-decreasing, so the iterates rise monotonically to the root), and the a
-priori time t = C / delta**gamma.
+t = 0, one fused pass over the spectrum at t = 0 and one per iteration
+(log psi is convex and decreasing, so the iterates rise monotonically to
+the root), and the a priori time t = C / delta**gamma.
 ``_newton_on_log_psi`` is the package's one parameter search: the Tikhonov
 baseline calls it too, and both feed it passes of the one residual kernel
 ``_norm_and_slope``.
-``landweber_integrate`` is the explicit-Euler integrator of the same flow,
-kept as a slow independent cross-check.
 """
 
 import math
@@ -26,21 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DegenerateResidual,
     DimensionMismatch,
     DomainError,
     IterationBudgetExceeded,
-    PreconditionViolated,
     UnattainableDiscrepancy,
-    UnstableStep,
 )
-from .linalg import (
-    SpectralFactorization,
-    _adjoint_multiply,
-    _frozen_array,
-    _left_multiply,
-    adjoint_apply,
-)
+from .linalg import SpectralFactorization, _adjoint_multiply, _frozen_array, _left_multiply
 
 NEWTON_TOL_REL = 1e-8
 NEWTON_MAX_ITER = 100
@@ -263,14 +252,6 @@ def discrepancy(problem: NoisyProblem, t: float) -> float:
     return _residual_pass(problem, t)[0]
 
 
-def discrepancy_derivative(problem: NoisyProblem, t: float) -> float:
-    """d psi / dt, strictly negative while any decaying mode carries residual."""
-    psi, dpsi = _residual_pass(problem, t)
-    if psi == 0.0:
-        raise DegenerateResidual("residual norm is zero; derivative undefined")
-    return dpsi
-
-
 def _newton_on_log_psi(residual_pass, target: float, floor: float) -> NewtonResult:
     """Solve psi(t) = target for t > 0 by Newton's method on log psi from t = 0.
 
@@ -282,20 +263,20 @@ def _newton_on_log_psi(residual_pass, target: float, floor: float) -> NewtonResu
     rounding carries materially past the root is replaced by bisection
     between the last point above the target and the overshooting one.
     Returns the root, the iteration count, the rising trace of points above
-    the target ending at the root, and psi at the root.
+    the target ending at the root, and psi at the root. If psi(0) already
+    meets the target, the result is t = 0 after that one pass, with no
+    iterations; this is the one place that decides it.
     """
+    t = 0.0
+    psi, dpsi = residual_pass(t)
+    if psi <= target:
+        return NewtonResult(t, 0, (t,), psi)
     if floor >= target:
         raise UnattainableDiscrepancy(
             f"residual floor {floor:.6e} >= C*delta = {target:.6e}; "
             "C is too small or delta understates the noise"
         )
     tol = NEWTON_TOL_REL * target
-    t = 0.0
-    psi, dpsi = residual_pass(t)
-    if psi <= target:
-        raise PreconditionViolated(
-            f"psi(0)={psi:.6e} <= C*delta={target:.6e}; no positive root exists"
-        )
     upper = math.inf
     iterates = []
     iterations = 0
@@ -327,24 +308,16 @@ def _newton_on_log_psi(residual_pass, target: float, floor: float) -> NewtonResu
     return NewtonResult(t, iterations, tuple(iterates), psi)
 
 
-def newton_solve_t(problem: NoisyProblem, C: float) -> NewtonResult:
-    """Solve psi(t) = C * delta by Newton's method on log psi started at t = 0.
-
-    log psi(t) = 1/2 log sum_i exp(-2 t lam_i) |r_i|^2 is a log-sum-exp of
-    affine functions of t, hence convex and decreasing, so the iterates rise
-    monotonically to the root; on a single mode the first step is exact.
-    """
-    return _newton_on_log_psi(
-        lambda t: _residual_pass(problem, t), C * problem.delta, problem.residual_floor
-    )
-
-
 def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
     """Run the flow to the stopping time chosen by ``rule``.
 
-    Discrepancy branch: if the start point already satisfies
-    ||A u0 - f_delta|| <= C * delta the report returns u0 at t = 0 with a
-    diagnostic flag; otherwise the stopping time solves psi(t) = C * delta.
+    Discrepancy branch: the stopping time solves psi(t) = C * delta by
+    Newton's method on log psi from t = 0. log psi(t) = 1/2 log sum_i
+    exp(-2 t lam_i) |r_i|^2 is a log-sum-exp of affine functions of t, hence
+    convex and decreasing, so the iterates rise monotonically to the root;
+    on a single mode the first step is exact. If the start point already
+    satisfies ||A u0 - f_delta|| <= C * delta, the report returns u0 at
+    t = 0 with a diagnostic flag.
     A priori branch: t = C / delta**gamma with no residual evaluations.
     """
     if isinstance(rule, AprioriRule):
@@ -360,57 +333,15 @@ def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
     if not isinstance(rule, DiscrepancyRule):
         raise DomainError(f"unknown stopping rule {rule!r}")
     target = rule.C * problem.delta
-    resid_start = discrepancy(problem, 0.0)
-    if resid_start <= target:
-        return SolveReport(
-            t_delta=0.0,
-            solution=np.array(problem.u0),
-            residual_norm=resid_start,
-            newton_iterations=0,
-            rule_used=rule,
-            diagnostics=(FLAG_DISCREPANCY_AT_START,),
-        )
-    newton = newton_solve_t(problem, rule.C)
+    newton = _newton_on_log_psi(
+        lambda t: _residual_pass(problem, t), target, problem.residual_floor
+    )
+    at_start = newton.iterations == 0 and newton.residual_norm <= target
     return SolveReport(
         t_delta=newton.t_delta,
         solution=solution_at(problem, newton.t_delta),
         residual_norm=newton.residual_norm,
         newton_iterations=newton.iterations,
         rule_used=rule,
+        diagnostics=(FLAG_DISCREPANCY_AT_START,) if at_start else (),
     )
-
-
-def landweber_integrate(problem: NoisyProblem, step: float, n_steps: int) -> np.ndarray:
-    """Explicit Euler on du/dt = -A*(A u - f_delta): the Landweber iteration.
-
-    Stable only for step < 2 / max(|s_i|^2). Slow by design; serves as an
-    integration oracle for ``solution_at``.
-    """
-    if n_steps < 0:
-        raise DomainError("n_steps must be nonnegative")
-    if not (np.isfinite(step) and step > 0):
-        raise DomainError(f"step={step} must be positive and finite")
-    fact = problem.factorization
-    lam = fact.eigenvalues
-    lam_max = float(lam.max(initial=0.0))
-    if lam_max > 0 and step >= 2.0 / lam_max:
-        raise UnstableStep(f"step {step} >= stability limit {2.0 / lam_max}")
-    drift = step * adjoint_apply(fact, problem.f_delta)
-    state = np.array(problem.u0, dtype=np.result_type(problem.u0.dtype, drift.dtype))
-    if n_steps == 0:
-        return state
-    if fact.v_basis is None:
-        decay = 1.0 - step * lam
-        for _ in range(n_steps):
-            state = decay * state + drift
-        return state
-    n = fact.shape[1]
-    gram = (fact.v_basis * lam) @ fact.v_basis.conj().T
-    propagator = np.eye(n, dtype=gram.dtype) - step * gram
-    state = state.astype(np.result_type(state.dtype, propagator.dtype))
-    buffer = np.empty_like(state)
-    for _ in range(n_steps):
-        np.dot(propagator, state, out=buffer)
-        buffer += drift
-        state, buffer = buffer, state
-    return state

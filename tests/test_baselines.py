@@ -13,10 +13,8 @@ from dsmg import (
     PreconditionViolated,
     UnattainableDiscrepancy,
     add_noise,
-    apply,
     factorize_svd,
     from_diagonal,
-    minimal_norm_solution,
     second_derivative_problem,
     solve,
     tikhonov_solution,
@@ -24,6 +22,7 @@ from dsmg import (
 )
 from dsmg import baselines, solver
 from dsmg.baselines import _vr_residual
+from oracles import apply, minimal_norm_solution
 
 
 def test_scalar_alpha_closed_form():

@@ -13,7 +13,6 @@ from dsmg import (
     NoisyProblem,
     add_noise,
     blur_periodic,
-    circular_convolve,
     deconvolve_1d,
     deconvolve_2d,
     factorize_svd,
@@ -23,6 +22,7 @@ from dsmg import (
     synthetic_target,
 )
 from dsmg.deconvolution import _deconvolve, _half_spectrum_weights
+from oracles import circular_convolve
 
 
 def gaussian_kernel_1d(n, sigma):

@@ -8,12 +8,10 @@ from dsmg import (
     DimensionMismatch,
     DomainError,
     SpectralFactorization,
-    adjoint_apply,
-    apply,
     factorize_svd,
     from_diagonal,
-    minimal_norm_solution,
 )
+from oracles import adjoint_apply, apply, minimal_norm_solution
 
 
 def symmetric_matrix(seed: int, eigenvalues) -> np.ndarray:

@@ -18,8 +18,10 @@ def test_ramp_p2_p5_equivalence(tmp_path):
     image = GrayImage(np.array([[0.0, 1.0 / 3.0], [2.0 / 3.0, 1.0]]))
     binary_path = tmp_path / "ramp5.pgm"
     ascii_path = tmp_path / "ramp2.pgm"
-    write_pgm(image, binary_path, binary=True)
-    write_pgm(image, ascii_path, binary=False)
+    write_pgm(image, binary_path)
+    # write_pgm writes P5 only; the P2 twin is spelled out byte for byte
+    ascii_path.write_bytes(b"P2\n2 2\n255\n0 85 170 255\n")
+    assert binary_path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
     from_binary = read_pgm(binary_path)
     from_ascii = read_pgm(ascii_path)
     assert np.array_equal(from_binary.pixels, from_ascii.pixels)

@@ -8,9 +8,9 @@ from dsmg import (
     NoiseSpec,
     add_noise,
     factorize_svd,
-    greens_kernel,
     second_derivative_problem,
 )
+from oracles import greens_kernel
 
 
 class TestGreensKernel:

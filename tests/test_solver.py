@@ -8,7 +8,6 @@ import pytest
 from conftest import random_matrix, random_problem
 from dsmg import (
     AprioriRule,
-    DegenerateResidual,
     DiscrepancyRule,
     DomainError,
     DsmgError,
@@ -17,17 +16,11 @@ from dsmg import (
     PreconditionViolated,
     SpectralFactorization,
     UnattainableDiscrepancy,
-    UnstableStep,
     add_noise,
-    apply,
     discrepancy,
-    discrepancy_derivative,
     evolution_filter,
     factorize_svd,
     from_diagonal,
-    landweber_integrate,
-    minimal_norm_solution,
-    newton_solve_t,
     second_derivative_problem,
     solution_at,
     solve,
@@ -35,6 +28,7 @@ from dsmg import (
 )
 from dsmg import solver
 from dsmg.solver import FLAG_DISCREPANCY_AT_START
+from oracles import UnstableStep, apply, landweber_integrate, minimal_norm_solution, newton_solve_t
 
 
 def scalar_problem(s=1.0, f=1.0, delta=0.01):
@@ -191,13 +185,13 @@ class TestDiscrepancyDerivative:
     def test_scalar(self):
         problem = scalar_problem()
         for t in (0.0, 0.5, 2.0):
-            assert abs(discrepancy_derivative(problem, t) + math.exp(-t)) < 1e-14
+            assert abs(solver._residual_pass(problem, t)[1] + math.exp(-t)) < 1e-14
 
     def test_zero_when_data_in_null_space(self):
         # A = diag(1, 0), f along the dead direction: the flow never moves
         fact = from_diagonal([1.0, 0.0])
         problem = NoisyProblem(fact, np.array([0.0, 1.0]), delta=0.01)
-        assert discrepancy_derivative(problem, 1.0) == 0.0
+        assert solver._residual_pass(problem, 1.0)[1] == 0.0
         assert discrepancy(problem, 0.0) == discrepancy(problem, 10.0) == 1.0
         with pytest.raises(UnattainableDiscrepancy):
             newton_solve_t(problem, 1.5)
@@ -209,14 +203,14 @@ class TestDiscrepancyDerivative:
             fd = (discrepancy(problem, t + step) - discrepancy(problem, max(t - step, 0.0))) / (
                 2 * step if t >= step else step
             )
-            exact = discrepancy_derivative(problem, t)
+            exact = solver._residual_pass(problem, t)[1]
             assert abs(fd - exact) <= 1e-4 * abs(exact)
 
     def test_degenerate_zero_residual(self):
+        # the start point fits the data exactly: psi and psi' are both 0
         fact = from_diagonal([1.0])
         problem = NoisyProblem(fact, np.array([1.0]), delta=0.5, u0=np.array([1.0]))
-        with pytest.raises(DegenerateResidual):
-            discrepancy_derivative(problem, 0.0)
+        assert solver._residual_pass(problem, 0.0) == (0.0, 0.0)
 
 
 class TestNewton:
@@ -262,12 +256,16 @@ class TestNewton:
         assert abs(result.t_delta - oracle_root) <= 1e-5
 
     def test_precondition_violated(self):
-        # the start point already fits the data: psi(0) = 0.005 < C*delta
+        # the start point already fits the data: psi(0) = 0.005 < C*delta, so
+        # solve returns u0 at t = 0, flagged, without a Newton step
         problem = NoisyProblem(
             from_diagonal([1.0]), np.array([1.0]), delta=0.01, u0=np.array([0.995])
         )
-        with pytest.raises(PreconditionViolated):
-            newton_solve_t(problem, 1.5)
+        report = solve(problem, DiscrepancyRule(C=1.5))
+        assert report.t_delta == 0.0
+        assert np.array_equal(report.solution, problem.u0)
+        assert report.newton_iterations == 0
+        assert report.diagnostics == (FLAG_DISCREPANCY_AT_START,)
 
     def test_iterates_nondecreasing(self):
         for seed in range(10):
@@ -296,12 +294,19 @@ class TestNewtonFromZero:
         assert abs(result.residual_norm - target) <= 1e-8 * target
 
     def test_precondition_violated_when_no_root(self):
+        # ||f|| = 0.001 < C*delta: solve stops at the zero start, flagged,
+        # and Tikhonov, which always starts from zero, has no alpha to pick
         problem = scalar_problem(f=0.001, delta=0.01)
+        report = solve(problem, DiscrepancyRule(C=1.5))
+        assert report.t_delta == 0.0
+        assert np.array_equal(report.solution, np.zeros(1))
+        assert report.newton_iterations == 0
+        assert report.diagnostics == (FLAG_DISCREPANCY_AT_START,)
         with pytest.raises(PreconditionViolated):
-            newton_solve_t(problem, 1.5)
+            vr_solve(problem, 1.5)
 
-    def test_one_pass_per_iteration(self, monkeypatch):
-        problem = random_problem(300, m=8, n=8, sing_lo=0.01, sing_hi=3.0)
+    @staticmethod
+    def _count_passes(monkeypatch):
         calls = []
         original = solver._residual_pass
 
@@ -310,8 +315,43 @@ class TestNewtonFromZero:
             return original(p, t)
 
         monkeypatch.setattr(solver, "_residual_pass", counted)
-        result = newton_solve_t(problem, 1.1)
-        assert len(calls) == result.iterations + 1
+        return calls
+
+    def test_one_pass_per_iteration(self, monkeypatch):
+        problem = random_problem(300, m=8, n=8, sing_lo=0.01, sing_hi=3.0)
+        calls = self._count_passes(monkeypatch)
+        report = solve(problem, DiscrepancyRule(C=1.1))
+        assert report.newton_iterations > 0
+        assert len(calls) == report.newton_iterations + 1
+
+    def test_flagged_start_makes_one_pass(self, monkeypatch):
+        problem = scalar_problem(f=0.001, delta=0.01)
+        calls = self._count_passes(monkeypatch)
+        report = solve(problem, DiscrepancyRule(C=1.5))
+        assert report.diagnostics == (FLAG_DISCREPANCY_AT_START,)
+        assert calls == [0.0]
+
+    @staticmethod
+    def _start_within_tolerance():
+        # psi(0) = ||f|| = 1 exceeds C*delta by 5e-9 relative, inside the
+        # 1e-8 stop tolerance, so t = 0 is accepted as the root
+        problem = scalar_problem(f=1.0, delta=(1.0 - 5e-9) / 1.5)
+        target = 1.5 * problem.delta
+        assert target < 1.0 <= target * (1.0 + 1e-8)
+        return problem
+
+    def test_start_within_tolerance_returns_zero_unflagged(self):
+        problem = self._start_within_tolerance()
+        report = solve(problem, DiscrepancyRule(C=1.5))
+        assert report.t_delta == 0.0
+        assert np.array_equal(report.solution, np.zeros(1))
+        assert report.newton_iterations == 0
+        assert report.residual_norm == 1.0
+        assert report.diagnostics == ()
+
+    def test_vr_start_within_tolerance_raises(self):
+        with pytest.raises(PreconditionViolated):
+            vr_solve(self._start_within_tolerance(), 1.5)
 
     def test_overshoot_is_bisected_back(self, monkeypatch):
         # halving the reported slope doubles every Newton step, so steps land
