@@ -7,9 +7,11 @@ from conftest import random_matrix, random_orthogonal
 from dsmg import (
     DimensionMismatch,
     DomainError,
+    FactorizationFailure,
     SpectralFactorization,
     factorize_svd,
     from_diagonal,
+    second_derivative_problem,
 )
 from oracles import adjoint_apply, apply, minimal_norm_solution
 
@@ -289,3 +291,116 @@ class TestValidation:
         fact = from_diagonal([1.0, 2.0])
         with pytest.raises(ValueError):
             fact.diag[0] = 5.0
+
+
+def perturb_one_column(basis: np.ndarray, rng, size: float) -> np.ndarray:
+    """Copy of ``basis`` with a random column moved by ``size`` along a random unit direction."""
+    out = basis.copy()
+    direction = rng.normal(size=len(basis))
+    if np.iscomplexobj(basis):
+        direction = direction + 1j * rng.normal(size=len(basis))
+    out[:, rng.integers(basis.shape[1])] += size * direction / np.linalg.norm(direction)
+    return out
+
+
+def random_unitary(rng, n: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+class TestOrthonormalityCheck:
+    """The probe check of SpectralFactorization must keep the power of the Gram check."""
+
+    @pytest.mark.parametrize("n", [10, 50])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_rejects_every_column_perturbed_by_1e_8(self, n, kind):
+        rng = np.random.default_rng(100 * n + len(kind))
+        for _ in range(1000):
+            basis = random_orthogonal(rng, n) if kind == "real" else random_unitary(rng, n)
+            with pytest.raises(DomainError):
+                SpectralFactorization(
+                    u_basis=perturb_one_column(basis, rng, 1e-8),
+                    v_basis=None,
+                    diag=np.ones(n),
+                    shape=(n, n),
+                )
+
+    def test_eigh_basis_at_1000_accepted_and_1e_6_perturbation_rejected(self):
+        fact = factorize_svd(second_derivative_problem(1000, np.sin).matrix)
+        SpectralFactorization(fact.u_basis, fact.v_basis, fact.diag, fact.shape)
+        with pytest.raises(DomainError):
+            SpectralFactorization(
+                fact.u_basis,
+                perturb_one_column(fact.v_basis, np.random.default_rng(0), 1e-6),
+                fact.diag,
+                fact.shape,
+            )
+
+    def test_thin_svd_basis_accepted(self):
+        fact = factorize_svd(np.random.default_rng(0).normal(size=(4000, 20)))
+        SpectralFactorization(fact.u_basis, fact.v_basis, fact.diag, fact.shape)
+
+
+def tiny_second_derivative_matrix() -> np.ndarray:
+    """second_derivative_problem(50) scaled by 1e-8, so ||A||_F is about 1e-9."""
+    return second_derivative_problem(50, np.sin).matrix * 1e-8
+
+
+# symmetric input and a corruption of the eigenvalues eigh returns
+WRONG_EIGENVALUE_CASES = {
+    "swapped": (SYMMETRIC_CASES["indefinite"], lambda lam: lam[[1, 0, 2, 3, 4]]),
+    "zeroed": (SYMMETRIC_CASES["indefinite"], np.zeros_like),
+    "zeroed-tiny-norm": (tiny_second_derivative_matrix(), np.zeros_like),
+}
+
+
+class TestReconstructionCheck:
+    """factorize_svd must reject a basis pairing that does not reproduce A."""
+
+    @pytest.mark.parametrize("case", WRONG_EIGENVALUE_CASES)
+    def test_rejects_wrong_eigenvalues(self, case, monkeypatch):
+        matrix, wrong = WRONG_EIGENVALUE_CASES[case]
+        eigh = np.linalg.eigh
+
+        def wrong_eigh(a):
+            lam, q = eigh(a)
+            return wrong(lam), q
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong_eigh)
+        with pytest.raises(FactorizationFailure):
+            factorize_svd(matrix)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 3), (3, 7)])
+    def test_rejects_swapped_singular_values(self, shape, monkeypatch):
+        matrix = random_matrix(sum(shape), *shape, 0.1, 2.0)
+        svd = np.linalg.svd
+
+        def swapping_svd(a, **kwargs):
+            u, s, vh = svd(a, **kwargs)
+            return u, s[[1, 0, *range(2, len(s))]], vh
+
+        monkeypatch.setattr(np.linalg, "svd", swapping_svd)
+        with pytest.raises(FactorizationFailure):
+            factorize_svd(matrix)
+
+    def test_legitimate_tiny_norm_factorization_accepted(self):
+        matrix = tiny_second_derivative_matrix()
+        fact = factorize_svd(matrix)
+        assert np.linalg.norm(fact.to_matrix() - matrix) <= 1e-12 * np.linalg.norm(matrix)
+
+    def test_all_zero_matrix_factors(self):
+        for shape in [(4, 4), (5, 3), (3, 5)]:
+            assert np.array_equal(factorize_svd(np.zeros(shape)).diag, np.zeros(min(shape)))
+
+
+class TestChecksDeterministic:
+    def test_global_random_state_untouched_and_results_bit_identical(self):
+        matrices = [SYMMETRIC_CASES["complex-hermitian"], random_matrix(5, 7, 3, 0.1, 2.0)]
+        before = np.random.get_state()
+        for matrix in matrices:
+            first, second = factorize_svd(matrix), factorize_svd(matrix)
+            for name in ("u_basis", "v_basis", "diag"):
+                assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
