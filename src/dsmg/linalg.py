@@ -151,9 +151,10 @@ def factorize_svd(matrix) -> SpectralFactorization:
     reconstruction defect, ||U (S (V* X)) - A X||_F / sqrt(p) with X the
     n x p probe block (p = 8), against RECON_TOL_PER_DIM * min(m, n) *
     ||A||_F. It costs about 2 * p * (m k + n k + m n) flops and builds no
-    m x n product. Both norms are taken of A / max|A|, so the test is
-    relative at every scale and neither norm underflows; an all-zero A
-    factors. Raises FactorizationFailure if the
+    m x n product. Both norms are taken of A / c, with c the largest real or
+    imaginary part of an entry in modulus (within sqrt(2) of max|A|), so the
+    test is relative at every scale and neither norm underflows; an all-zero
+    A factors. Raises FactorizationFailure if the
     iteration does not converge or the check fails, and DomainError on
     non-finite input.
     """
@@ -170,7 +171,10 @@ def factorize_svd(matrix) -> SpectralFactorization:
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(str(exc)) from exc
     fact = SpectralFactorization(u_basis=u, v_basis=v, diag=s, shape=a.shape)
-    peak = np.max(np.abs(a)) or 1.0
+    # largest |Re| or |Im| of an entry, within sqrt(2) of max|A|; taken part by
+    # part because an m x n abs() temporary raised dense-1000's peak RSS
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    peak = max(max(abs(part.max()), abs(part.min())) for part in parts) or 1.0
     unit, s_unit = a / peak, s / peak
     x = _probes(a.shape[1])
     recon_defect = _probe_norm(u @ (s_unit[:, None] * (v.conj().T @ x)) - unit @ x)
