@@ -111,11 +111,6 @@ class SpectralFactorization:
         out.setflags(write=False)
         return out
 
-    def to_matrix(self) -> np.ndarray:
-        """Materialize the dense matrix U S V*."""
-        left = np.diag(self.diag) if self.u_basis is None else self.u_basis * self.diag
-        return left if self.v_basis is None else left @ self.v_basis.conj().T
-
 
 def _left_multiply(basis: np.ndarray | None, vec: np.ndarray) -> np.ndarray:
     return vec if basis is None else basis @ vec
@@ -154,9 +149,8 @@ def factorize_svd(matrix) -> SpectralFactorization:
     m x n product. Both norms are taken of A / c, with c the largest real or
     imaginary part of an entry in modulus (within sqrt(2) of max|A|), so the
     test is relative at every scale and neither norm underflows; an all-zero
-    A factors. Raises FactorizationFailure if the
-    iteration does not converge or the check fails, and DomainError on
-    non-finite input.
+    A factors. Raises FactorizationFailure if the iteration does not converge
+    or the check fails, and DomainError on non-finite input.
     """
     a = np.asarray(matrix)
     if a.ndim != 2:

@@ -8,6 +8,7 @@ between the two is evidence.
 - ``circular_convolve``: periodic convolution by direct summation.
 - ``greens_kernel``: the kernel that ``second_derivative_problem`` discretizes.
 - ``apply`` / ``adjoint_apply``: A x and A* y from a factorization.
+- ``to_matrix``: the dense matrix U S V* of a factorization.
 - ``minimal_norm_solution``: the pseudo-inverse solution.
 - ``newton_solve_t``: the discrepancy search alone, without ``solve``.
 """
@@ -32,6 +33,12 @@ def apply(fact: SpectralFactorization, x) -> np.ndarray:
     if x.shape != (n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({n},)")
     return _left_multiply(fact.u_basis, fact.diag * _adjoint_multiply(fact.v_basis, x))
+
+
+def to_matrix(fact: SpectralFactorization) -> np.ndarray:
+    """Materialize the dense matrix U S V*."""
+    left = np.diag(fact.diag) if fact.u_basis is None else fact.u_basis * fact.diag
+    return left if fact.v_basis is None else left @ fact.v_basis.conj().T
 
 
 def adjoint_apply(fact: SpectralFactorization, y) -> np.ndarray:
