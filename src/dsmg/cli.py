@@ -226,9 +226,8 @@ def run_derivative_bench(n_values, u_choice, delta_rel, seeds, C):
     rows = []
     for n in n_values:
         problem = second_derivative_problem(n, u_fn)
-        fact = factorize_svd(problem.matrix)
         for seed in seeds:
-            rows.extend(_bench_cell(problem, fact, delta_rel, seed, C))
+            rows.extend(_bench_cell(problem, problem.factorization, delta_rel, seed, C))
     rows.sort(key=lambda r: (r.N, r.method, r.seed))
     return rows
 

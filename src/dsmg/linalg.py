@@ -165,6 +165,17 @@ def factorize_svd(matrix) -> SpectralFactorization:
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(str(exc)) from exc
     fact = SpectralFactorization(u_basis=u, v_basis=v, diag=s, shape=a.shape)
+    _check_reconstruction(a, fact)
+    return fact
+
+
+def _check_reconstruction(a: np.ndarray, fact: SpectralFactorization) -> None:
+    """Raise FactorizationFailure unless U S V* reconstructs the dense matrix a.
+
+    The seeded probe test of ``factorize_svd``'s docstring; both bases must be
+    stored. Any builder of a factorization of a known dense matrix calls it.
+    """
+    u, s, v = fact.u_basis, fact.diag, fact.v_basis
     # largest |Re| or |Im| of an entry, within sqrt(2) of max|A|; taken part by
     # part because an m x n abs() temporary raised dense-1000's peak RSS
     parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
@@ -176,7 +187,6 @@ def factorize_svd(matrix) -> SpectralFactorization:
         raise FactorizationFailure(
             f"relative reconstruction defect {recon_defect:.3e} exceeds tolerance"
         )
-    return fact
 
 
 def from_diagonal(diag) -> SpectralFactorization:

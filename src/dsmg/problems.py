@@ -12,28 +12,63 @@ diagonal cell is integrated in closed form across the kink at s = t. A plain
 point-collocation rule cannot be used here: the kernel vanishes identically
 on the s = 1 line, so sampling the endpoint grid makes the matrix singular.
 
+The matrix is factored in closed form, with no eigensolver. With h = 1/N and
+midpoints x_i = (i - 1/2) h, the off-diagonal entries are -h G_ij, where
+G_ij = min(x_i, x_j) - x_i x_j, and the exact diagonal-cell integral exceeds
+-h G_ii by h^2/6, so
+
+    K = -h G + (h^2 / 6) I.
+
+G^-1 = T / h is the second-difference matrix T = tridiag(-1, 2, -1) with
+T_11 = T_NN = 3: Dirichlet ends half a cell outside the grid. The DST-II
+basis diagonalizes it (Strang, "The Discrete Cosine Transform", SIAM Review
+41, 1999): with theta_k = k pi / (2N), k = 1..N, T has eigenvalues
+4 sin^2 theta_k and orthonormal eigenvectors
+
+    V_jk = sqrt(2/N) sin((2j - 1) theta_k),  column N scaled by 1/sqrt(2).
+
+So K = U S V* with S_k = h^2 (1 / (4 sin^2 theta_k) - 1/6), positive and
+strictly decreasing in k, and U = -V, since every eigenvalue of K is
+negative: the sign fold that ``factorize_svd`` applies after ``eigh``.
+The factorization passes the same orthonormality and reconstruction checks
+as ``factorize_svd``. ``factorize_svd`` itself, and so ``dsmg solve`` on a
+matrix file, still factors by ``eigh`` or ``svd``.
+
 Noise is generated by a Box-Muller transform over the PCG64 generator, so a
 seed pins the realization bit-for-bit across platforms, and is rescaled so
 that ||noise|| = delta_rel * ||b|| holds exactly.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _frozen_array
+from .linalg import SpectralFactorization, _check_reconstruction, _frozen_array
 
 
 @dataclass(frozen=True)
 class TestProblem:
-    """Matrix, exact solution and exact right-hand side b = A u."""
+    """Second-derivative matrix, exact solution and exact right-hand side b = A u."""
 
     matrix: np.ndarray
     exact_solution: np.ndarray
     exact_rhs: np.ndarray
     label: str
+
+    @cached_property
+    def factorization(self) -> SpectralFactorization:
+        """The closed-form DST-II factorization of ``matrix``, checked against it.
+
+        Built on first use: its two N x N bases are not paid for by a caller
+        that needs only the matrix. Raises FactorizationFailure if it does not
+        reconstruct the matrix.
+        """
+        fact = _dst2_factorization(len(self.matrix))
+        _check_reconstruction(self.matrix, fact)
+        return fact
 
 
 @dataclass(frozen=True)
@@ -53,7 +88,8 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
 
     The solution is sampled at the cell midpoints (i - 1/2) / N and the
     right-hand side is the exact product b = A u, so the pair (u, b) is
-    consistent with the matrix by construction.
+    consistent with the matrix by construction. ``factorization`` is the
+    closed-form DST-II one of the module docstring.
     """
     if N < 2:
         raise DomainError(f"N={N} must be at least 2")
@@ -73,6 +109,23 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
         exact_rhs=_frozen_array(exact_rhs),
         label=f"second-derivative N={N}",
     )
+
+
+def _dst2_factorization(N: int) -> SpectralFactorization:
+    """The closed-form SVD K = U S V* of the N x N matrix, U = -V."""
+    # sin(m pi / (2N)) for each integer phase m mod 4N, from the first quadrant
+    # by symmetry, so every entry is one correctly reduced angle
+    quarter = np.sin(np.arange(N + 1) * (np.pi / (2 * N)))
+    half = np.concatenate([quarter, quarter[N - 1:0:-1]])
+    sines = np.concatenate([half, -half])
+    h = 1.0 / N
+    diag = h * h * (0.25 / quarter[1:] ** 2 - 1.0 / 6.0)
+    phase = np.outer(np.arange(1, 2 * N, 2), np.arange(1, N + 1))
+    phase %= 4 * N
+    v = sines[phase]
+    v *= np.sqrt(2.0 / N)
+    v[:, -1] *= np.sqrt(0.5)
+    return SpectralFactorization(u_basis=-v, v_basis=v, diag=diag, shape=(N, N))
 
 
 def standard_normal(spec: NoiseSpec, count: int) -> np.ndarray:

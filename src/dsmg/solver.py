@@ -98,9 +98,8 @@ class NoisyProblem:
 
     @cached_property
     def rhs_coefficients(self) -> np.ndarray:
-        """U* f_delta."""
+        """U* f_delta: the frozen f_delta itself for an identity U, else a fresh product."""
         out = _adjoint_multiply(self.factorization.u_basis, self.f_delta)
-        out = np.array(out)
         out.setflags(write=False)
         return out
 
@@ -123,7 +122,7 @@ class NoisyProblem:
             out = -self.rhs_coefficients
         else:
             out = fact.diag * _adjoint_multiply(fact.v_basis, self.u0) - self.rhs_coefficients
-        out = np.array(out)
+        # both branches computed a fresh array, frozen in place
         out.setflags(write=False)
         return out
 

@@ -11,12 +11,22 @@ between the two is evidence.
 - ``to_matrix``: the dense matrix U S V* of a factorization.
 - ``minimal_norm_solution``: the pseudo-inverse solution.
 - ``newton_solve_t``: the discrepancy search alone, without ``solve``.
+- ``eigh_derivative_bench``: the benchmark sweep with ``factorize_svd`` in
+  place of the closed-form factorization.
 """
 
 import numpy as np
 
-from dsmg import DimensionMismatch, DomainError, DsmgError, NoisyProblem, SpectralFactorization
-from dsmg import solver
+from dsmg import (
+    DimensionMismatch,
+    DomainError,
+    DsmgError,
+    NoisyProblem,
+    SpectralFactorization,
+    factorize_svd,
+    second_derivative_problem,
+)
+from dsmg import cli, solver
 from dsmg.linalg import _adjoint_multiply, _left_multiply
 
 DEFAULT_RANK_TOL = 1e-12
@@ -139,3 +149,16 @@ def newton_solve_t(problem: NoisyProblem, C: float) -> solver.NewtonResult:
     return solver._newton_on_log_psi(
         lambda t: solver._residual_pass(problem, t), C * problem.delta, problem.residual_floor
     )
+
+
+def eigh_derivative_bench(n_values, u_choice, delta_rel, seeds, C) -> list:
+    """``cli.run_derivative_bench`` with each matrix factored by ``factorize_svd`` (eigh)."""
+    u_fn = cli.SOLUTION_CHOICES[u_choice]
+    rows = []
+    for n in n_values:
+        problem = second_derivative_problem(n, u_fn)
+        fact = factorize_svd(problem.matrix)
+        for seed in seeds:
+            rows.extend(cli._bench_cell(problem, fact, delta_rel, seed, C))
+    rows.sort(key=lambda r: (r.N, r.method, r.seed))
+    return rows

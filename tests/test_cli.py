@@ -12,6 +12,7 @@ from dsmg import (
     add_noise,
     blur_periodic,
     cli,
+    factorize_svd,
     gaussian_psf,
     read_pgm,
     second_derivative_problem,
@@ -19,6 +20,8 @@ from dsmg import (
     write_pgm,
 )
 from dsmg.cli import load_matrix, main, run_derivative_bench
+from oracles import eigh_derivative_bench
+from test_acceptance import BENCH_SEEDS, BENCH_SIZES
 
 
 def write_text(path, content):
@@ -197,6 +200,34 @@ class TestDerivativeBench:
         assert code == 3
         marked = [line for line in captured.out.splitlines() if ",-1," in line]
         assert any(line.split(",")[1] == "vr" for line in marked)
+
+
+class TestDerivativeBenchClosedForm:
+    """The sweep factors its matrices in closed form, with no eigensolver."""
+
+    def test_matches_eigh_oracle(self):
+        rows = run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, 1.1)
+        expected = eigh_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, 1.1)
+        key = [(r.N, r.method, r.seed, r.iterations, r.delta_rel) for r in rows]
+        assert key == [(r.N, r.method, r.seed, r.iterations, r.delta_rel) for r in expected]
+        assert all(r.iterations >= 0 for r in rows)
+        for got, want in zip(rows, expected):
+            for field in ("relative_error", "t_or_alpha"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-10 * abs(getattr(want, field))
+
+    def test_runs_without_eigh_or_svd(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("derivative-bench called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(AssertionError):  # the patch reaches the dense path
+            factorize_svd(second_derivative_problem(10, math.sin).matrix)
+        rows = run_derivative_bench([2, 10, 57, 200], "sin_pi", 0.01, [0, 1], 1.1)
+        assert len(rows) == 4 * 2 * 2
+        assert all(row.iterations >= 0 for row in rows)
+        assert main(["derivative-bench", "--N", "10,20", "--seeds", "0"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2 + 2 * 2
 
 
 class TestDeblur:

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmg import (
     DomainError,
+    FactorizationFailure,
     NoiseSpec,
+    SpectralFactorization,
     add_noise,
     factorize_svd,
+    problems,
     second_derivative_problem,
 )
+from dsmg.linalg import _check_reconstruction
 from oracles import greens_kernel
 
 
@@ -99,6 +105,47 @@ class TestSecondDerivativeProblem:
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
             second_derivative_problem(1, np.sin)
+
+
+class TestClosedFormFactorization:
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 500])
+    def test_diag_matches_eigh(self, n):
+        problem = second_derivative_problem(n, np.sin)
+        closed = problem.factorization.diag
+        reference = factorize_svd(problem.matrix).diag
+        assert np.all(np.abs(closed - reference) <= 1e-10 * reference)
+
+    @given(n=st.integers(min_value=2, max_value=400))
+    @settings(deadline=None)
+    def test_passes_both_checks_and_is_sorted(self, n):
+        problem = second_derivative_problem(n, np.sin)
+        fact = problem.factorization
+        assert fact is problem.factorization
+        assert fact.shape == (n, n)
+        assert np.array_equal(fact.u_basis, -fact.v_basis)
+        # phases reduced in integers: sin((2j - 1) k pi / (2N)) vanishes exactly
+        phase = np.outer(np.arange(1, 2 * n, 2), np.arange(1, n + 1))
+        assert np.all(fact.v_basis[phase % (2 * n) == 0] == 0.0)
+        # rebuilding reruns the orthonormality check on both bases
+        SpectralFactorization(fact.u_basis, fact.v_basis, fact.diag, fact.shape)
+        _check_reconstruction(problem.matrix, fact)
+        assert np.all(fact.diag > 0)
+        assert np.all(np.diff(fact.diag) < 0)
+
+    @pytest.mark.parametrize("n", [2, 10, 100, 500])
+    def test_perturbed_diag_rejected_by_reconstruction_check(self, monkeypatch, n):
+        build = problems._dst2_factorization
+
+        def perturbed(size):
+            fact = build(size)
+            diag = fact.diag.copy()
+            diag[0] *= 1.0 + 1e-6
+            return SpectralFactorization(fact.u_basis, fact.v_basis, diag, fact.shape)
+
+        monkeypatch.setattr(problems, "_dst2_factorization", perturbed)
+        problem = second_derivative_problem(n, np.sin)
+        with pytest.raises(FactorizationFailure, match="reconstruction defect"):
+            problem.factorization
 
 
 class TestAddNoise:

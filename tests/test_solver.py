@@ -139,6 +139,27 @@ class TestDiscrepancy:
         )
         assert np.linalg.norm(problem.initial_residual_coefficients - recomputed) <= 1e-12
 
+    def test_coefficient_caches_frozen_without_copies(self):
+        # identity basis: U* f_delta is the frozen f_delta itself
+        diagonal = NoisyProblem(from_diagonal([2.0, 1.0 + 1.0j, 0.5]), np.array([1.0, -2.0, 3.0]), 0.1)
+        assert diagonal.rhs_coefficients is diagonal.f_delta
+        dense = random_problem(8, m=6, n=4)
+        start = np.random.default_rng(8).normal(size=4)
+        started = NoisyProblem(dense.factorization, dense.f_delta, dense.delta, u0=start)
+        u_basis, v_basis = dense.factorization.u_basis, dense.factorization.v_basis
+        for problem, rhs, residual in (
+            (diagonal, diagonal.f_delta, -diagonal.f_delta),
+            (dense, u_basis.T @ dense.f_delta, -(u_basis.T @ dense.f_delta)),
+            (started, u_basis.T @ dense.f_delta,
+             dense.factorization.diag * (v_basis.T @ start) - u_basis.T @ dense.f_delta),
+        ):
+            for cached, expected in (
+                (problem.rhs_coefficients, rhs),
+                (problem.initial_residual_coefficients, residual),
+            ):
+                assert not cached.flags.writeable
+                assert cached.tobytes() == expected.tobytes()
+
 
 @pytest.mark.parametrize("shape", [(7, 3), (3, 7)])
 def test_thin_shapes_match_dense_gram_oracle(shape):
