@@ -3,9 +3,17 @@
 With k = min(m, n), a factorization stores the k singular triplets: bases U
 (m x k) and V (n x k) with orthonormal columns, and the k-entry diagonal of
 S. The diagonal may be complex (the DFT-diagonalized convolution case); the
-derived spectrum is always the real vector |s_i|^2. A basis that is square
-may be stored as ``None``, meaning the identity, so that diagonal systems of
-FFT size never materialize an n x n identity matrix.
+derived spectrum is always the real vector |s_i|^2. A basis is one of:
+
+- ``None``, the identity, for a square side, so that diagonal systems of
+  FFT size never materialize an n x n identity matrix;
+- a dense array;
+- an orthonormal transform: a frozen object with ``shape``, ``apply(x)``
+  (B x) and ``adjoint(y)`` (B* y), acting on 1-d vectors and on dim x p
+  blocks along axis 0, such as a fast sine transform that never stores B.
+
+``_left_multiply`` and ``_adjoint_multiply`` are the only code that tells
+the three kinds apart; every check and product goes through them.
 
 All stored arrays are copied and frozen, and every operation is a pure
 function, so values can be shared freely across threads.
@@ -20,6 +28,7 @@ deterministic.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Protocol
 
 import numpy as np
 
@@ -32,6 +41,19 @@ _PROBES = 8
 _PROBE_SEED = 0x5EED
 # largest modulus whose square is finite in float64
 MAX_SINGULAR_VALUE = float(np.sqrt(np.finfo(np.float64).max))
+
+
+class _Transform(Protocol):
+    """An orthonormal basis applied as an operator instead of stored as an array."""
+
+    shape: tuple[int, int]
+
+    def apply(self, x: np.ndarray) -> np.ndarray: ...
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray: ...
+
+
+_Basis = np.ndarray | _Transform | None
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:
@@ -59,8 +81,11 @@ def _probe_norm(block: np.ndarray) -> float:
 class SpectralFactorization:
     """A = U S V* with k = min(m, n), orthonormal columns U (m x k) and V (n x k).
 
-    ``u_basis`` / ``v_basis`` equal to ``None`` stand for k x k identity
-    matrices, so only a basis of a side with k rows can be omitted.
+    ``u_basis`` / ``v_basis`` are each ``None``, a dense array or an
+    orthonormal transform (see the module docstring). ``None`` stands for a
+    k x k identity matrix, so only a basis of a side with k rows can be
+    omitted. Dense arrays are copied, frozen and checked finite; a transform
+    is kept as given.
     ``diag`` holds the k diagonal entries of S, possibly complex and in
     caller-defined order (``factorize_svd`` sorts them nonincreasing,
     ``from_diagonal`` preserves positional order).
@@ -68,12 +93,13 @@ class SpectralFactorization:
     A stored basis B of ``dim`` rows must pass the orthonormality check
     ||B* (B X) - X||_F / sqrt(p) <= UNITARY_TOL_PER_DIM * dim, with X the
     seeded k x p probe block (p = 8): a probe estimate of ||B* B - I||_F that
-    costs about 4 * dim * k * p flops instead of a 2 * dim * k^2 Gram product.
-    Otherwise DomainError is raised.
+    costs about 4 * dim * k * p flops for a dense B instead of a
+    2 * dim * k^2 Gram product. A transform runs the same probe through its
+    ``apply`` and ``adjoint``. Otherwise DomainError is raised.
     """
 
-    u_basis: np.ndarray | None
-    v_basis: np.ndarray | None
+    u_basis: _Basis
+    v_basis: _Basis
     diag: np.ndarray
     shape: tuple[int, int]
 
@@ -94,14 +120,16 @@ class SpectralFactorization:
                 if dim != k:
                     raise DimensionMismatch(f"{name} of {dim} rows cannot be the identity")
                 continue
-            basis = _frozen_array(basis)
-            object.__setattr__(self, name, basis)
+            if not hasattr(basis, "adjoint"):  # dense; a transform is kept as given
+                basis = _frozen_array(basis)
+                object.__setattr__(self, name, basis)
+                _require_finite(basis, name)
             if basis.shape != (dim, k):
                 raise DimensionMismatch(f"{name} has shape {basis.shape}, expected {(dim, k)}")
-            _require_finite(basis, name)
             x = _probes(k)
-            defect = _probe_norm(basis.conj().T @ (basis @ x) - x)
-            if defect > UNITARY_TOL_PER_DIM * dim:
+            defect = _probe_norm(_adjoint_multiply(basis, _left_multiply(basis, x)) - x)
+            # negated, so that a NaN defect from a transform fails too
+            if not defect <= UNITARY_TOL_PER_DIM * dim:
                 raise DomainError(f"{name} columns are not orthonormal (defect {defect:.3e})")
 
     @cached_property
@@ -112,12 +140,22 @@ class SpectralFactorization:
         return out
 
 
-def _left_multiply(basis: np.ndarray | None, vec: np.ndarray) -> np.ndarray:
-    return vec if basis is None else basis @ vec
+def _left_multiply(basis: _Basis, vec: np.ndarray) -> np.ndarray:
+    """B vec for a basis of any of the three kinds."""
+    if basis is None:
+        return vec
+    if isinstance(basis, np.ndarray):
+        return basis @ vec
+    return basis.apply(vec)
 
 
-def _adjoint_multiply(basis: np.ndarray | None, vec: np.ndarray) -> np.ndarray:
-    return vec if basis is None else basis.conj().T @ vec
+def _adjoint_multiply(basis: _Basis, vec: np.ndarray) -> np.ndarray:
+    """B* vec for a basis of any of the three kinds."""
+    if basis is None:
+        return vec
+    if isinstance(basis, np.ndarray):
+        return basis.conj().T @ vec
+    return basis.adjoint(vec)
 
 
 def _symmetric_svd(a: np.ndarray):
@@ -172,8 +210,9 @@ def factorize_svd(matrix) -> SpectralFactorization:
 def _check_reconstruction(a: np.ndarray, fact: SpectralFactorization) -> None:
     """Raise FactorizationFailure unless U S V* reconstructs the dense matrix a.
 
-    The seeded probe test of ``factorize_svd``'s docstring; both bases must be
-    stored. Any builder of a factorization of a known dense matrix calls it.
+    The seeded probe test of ``factorize_svd``'s docstring, run through
+    ``_left_multiply`` / ``_adjoint_multiply`` for a basis of any kind. Any
+    code that factors a known dense matrix calls it.
     """
     u, s, v = fact.u_basis, fact.diag, fact.v_basis
     # largest |Re| or |Im| of an entry, within sqrt(2) of max|A|; taken part by
@@ -182,8 +221,10 @@ def _check_reconstruction(a: np.ndarray, fact: SpectralFactorization) -> None:
     peak = max(max(abs(part.max()), abs(part.min())) for part in parts) or 1.0
     unit, s_unit = a / peak, s / peak
     x = _probes(a.shape[1])
-    recon_defect = _probe_norm(u @ (s_unit[:, None] * (v.conj().T @ x)) - unit @ x)
-    if recon_defect > RECON_TOL_PER_DIM * min(a.shape) * np.linalg.norm(unit):
+    recon = _left_multiply(u, s_unit[:, None] * _adjoint_multiply(v, x))
+    recon_defect = _probe_norm(recon - unit @ x)
+    # negated, so that a NaN defect from a transform fails too
+    if not recon_defect <= RECON_TOL_PER_DIM * min(a.shape) * np.linalg.norm(unit):
         raise FactorizationFailure(
             f"relative reconstruction defect {recon_defect:.3e} exceeds tolerance"
         )

@@ -30,22 +30,25 @@ basis diagonalizes it (Strang, "The Discrete Cosine Transform", SIAM Review
 So K = U S V* with S_k = h^2 (1 / (4 sin^2 theta_k) - 1/6), positive and
 strictly decreasing in k, and U = -V, since every eigenvalue of K is
 negative: the sign fold that ``factorize_svd`` applies after ``eigh``.
-The factorization passes the same orthonormality and reconstruction checks
-as ``factorize_svd``. ``factorize_svd`` itself, and so ``dsmg solve`` on a
-matrix file, still factors by ``eigh`` or ``svd``.
+Neither basis is stored as an array: V is a fast sine transform, applied
+by one real FFT of length 4N in O(N log N) time and O(N) memory, and U is
+the same transform with its sign flipped. The factorization passes the same
+orthonormality and reconstruction checks as ``factorize_svd``, run through
+the transform. ``factorize_svd`` itself, and so ``dsmg solve`` on a matrix
+file, still factors by ``eigh`` or ``svd``.
 
 Noise is generated by a Box-Muller transform over the PCG64 generator, so a
 seed pins the realization bit-for-bit across platforms, and is rescaled so
 that ||noise|| = delta_rel * ||b|| holds exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .linalg import SpectralFactorization, _check_reconstruction, _frozen_array
 
 
@@ -62,9 +65,9 @@ class TestProblem:
     def factorization(self) -> SpectralFactorization:
         """The closed-form DST-II factorization of ``matrix``, checked against it.
 
-        Built on first use: its two N x N bases are not paid for by a caller
-        that needs only the matrix. Raises FactorizationFailure if it does not
-        reconstruct the matrix.
+        Built on first use: its reconstruction check is not paid for by a
+        caller that needs only the matrix. Raises FactorizationFailure if it
+        does not reconstruct the matrix.
         """
         fact = _dst2_factorization(len(self.matrix))
         _check_reconstruction(self.matrix, fact)
@@ -111,21 +114,69 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _SineBasis:
+    """The orthonormal DST-II basis V_jk = w_k sin((2j - 1) k pi / (2N)), times ``sign``.
+
+    Applied by one real FFT of length 4N with the data at the odd indices,
+    in O(N log N) time and O(N) memory per column; no N x N array is built.
+    For z_(2j-1) = y_j, the DFT gives -Im rfft(z)_k = sum_j y_j
+    sin((2j - 1) k pi / (2N)), which is V* y before the weights, and irfft
+    of -i a_k yields the same sines at the odd indices, which is V x. Acts on
+    1-d vectors and on N x p blocks along axis 0; complex input is split into
+    its real and imaginary parts.
+    """
+
+    weights: np.ndarray
+    sign: float = 1.0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.weights), len(self.weights))
+
+    def _scaled(self, data: np.ndarray, scale: float) -> np.ndarray:
+        """data * (scale * sign * weights) along axis 0."""
+        w = (scale * self.sign) * self.weights
+        return data * (w if data.ndim == 1 else w[:, None])
+
+    def _checked(self, data) -> np.ndarray:
+        data = np.asarray(data)
+        if data.ndim not in (1, 2) or len(data) != len(self.weights):
+            raise DimensionMismatch(f"input of shape {data.shape} does not match {self.shape}")
+        return data
+
+    def apply(self, x) -> np.ndarray:
+        """V x: a DST-III of the weighted coefficients."""
+        x = self._checked(x)
+        if np.iscomplexobj(x):
+            return self.apply(x.real) + 1j * self.apply(x.imag)
+        n = len(self.weights)
+        spectrum = np.zeros((2 * n + 1,) + x.shape[1:], dtype=complex)
+        # irfft weighs bins 1..2N-1 by 2 / (4N)
+        spectrum.imag[1:n + 1] = self._scaled(x, -2.0 * n)
+        return np.fft.irfft(spectrum, n=4 * n, axis=0)[1:2 * n:2]
+
+    def adjoint(self, y) -> np.ndarray:
+        """V* y: a DST-II, then the weights."""
+        y = self._checked(y)
+        if np.iscomplexobj(y):
+            return self.adjoint(y.real) + 1j * self.adjoint(y.imag)
+        n = len(self.weights)
+        padded = np.zeros((4 * n,) + y.shape[1:])
+        padded[1:2 * n:2] = y
+        return self._scaled(np.fft.rfft(padded, axis=0)[1:n + 1].imag, -1.0)
+
+
 def _dst2_factorization(N: int) -> SpectralFactorization:
-    """The closed-form SVD K = U S V* of the N x N matrix, U = -V."""
-    # sin(m pi / (2N)) for each integer phase m mod 4N, from the first quadrant
-    # by symmetry, so every entry is one correctly reduced angle
+    """The closed-form SVD K = U S V* of the N x N matrix, U = -V, V a DST-II."""
     quarter = np.sin(np.arange(N + 1) * (np.pi / (2 * N)))
-    half = np.concatenate([quarter, quarter[N - 1:0:-1]])
-    sines = np.concatenate([half, -half])
     h = 1.0 / N
     diag = h * h * (0.25 / quarter[1:] ** 2 - 1.0 / 6.0)
-    phase = np.outer(np.arange(1, 2 * N, 2), np.arange(1, N + 1))
-    phase %= 4 * N
-    v = sines[phase]
-    v *= np.sqrt(2.0 / N)
-    v[:, -1] *= np.sqrt(0.5)
-    return SpectralFactorization(u_basis=-v, v_basis=v, diag=diag, shape=(N, N))
+    weights = np.full(N, np.sqrt(2.0 / N))
+    weights[-1] *= np.sqrt(0.5)
+    v = _SineBasis(_frozen_array(weights))
+    u = replace(v, sign=-1.0)
+    return SpectralFactorization(u_basis=u, v_basis=v, diag=diag, shape=(N, N))
 
 
 def standard_normal(spec: NoiseSpec, count: int) -> np.ndarray:

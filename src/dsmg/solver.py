@@ -112,7 +112,7 @@ class NoisyProblem:
         fact = self.factorization
         if fact.shape[0] == len(fact.diag):
             return 0.0
-        return _scaled_norm(self.f_delta - fact.u_basis @ self.rhs_coefficients)
+        return _scaled_norm(self.f_delta - _left_multiply(fact.u_basis, self.rhs_coefficients))
 
     @cached_property
     def initial_residual_coefficients(self) -> np.ndarray:

@@ -13,6 +13,8 @@ between the two is evidence.
 - ``newton_solve_t``: the discrepancy search alone, without ``solve``.
 - ``eigh_derivative_bench``: the benchmark sweep with ``factorize_svd`` in
   place of the closed-form factorization.
+- ``dst2_basis``: the dense DST-II basis that the closed-form factorization
+  applies by FFT.
 """
 
 import numpy as np
@@ -149,6 +151,25 @@ def newton_solve_t(problem: NoisyProblem, C: float) -> solver.NewtonResult:
     return solver._newton_on_log_psi(
         lambda t: solver._residual_pass(problem, t), C * problem.delta, problem.residual_floor
     )
+
+
+def dst2_basis(N: int) -> np.ndarray:
+    """The dense N x N DST-II basis that ``problems._SineBasis`` applies by FFT.
+
+    V_jk = sqrt(2/N) sin((2j - 1) k pi / (2N)), column N scaled by 1/sqrt(2).
+    The phase (2j - 1) k mod 4N is reduced in integers and the sine is read
+    from a first-quadrant table, so every angle is one correctly reduced
+    argument and the sine's zeros are exact zeros.
+    """
+    quarter = np.sin(np.arange(N + 1) * (np.pi / (2 * N)))
+    half = np.concatenate([quarter, quarter[N - 1:0:-1]])
+    sines = np.concatenate([half, -half])
+    phase = np.outer(np.arange(1, 2 * N, 2), np.arange(1, N + 1))
+    phase %= 4 * N
+    v = sines[phase]
+    v *= np.sqrt(2.0 / N)
+    v[:, -1] *= np.sqrt(0.5)
+    return v
 
 
 def eigh_derivative_bench(n_values, u_choice, delta_rel, seeds, C) -> list:

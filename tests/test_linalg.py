@@ -1,5 +1,7 @@
 """Spectral factorization substrate: construction, products, pseudo-inverse."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dsmg import (
     from_diagonal,
     second_derivative_problem,
 )
+from dsmg.linalg import _check_reconstruction
 from oracles import adjoint_apply, apply, minimal_norm_solution, to_matrix
 
 
@@ -259,6 +262,53 @@ class TestMinimalNormSolution:
         fact = from_diagonal([1.0])
         with pytest.raises(DomainError):
             minimal_norm_solution(fact, np.array([1.0]), rank_tol=0.0)
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A basis stored as a transform: B x reorders the rows of x, scaled by ``gain``."""
+
+    order: tuple
+    gain: float = 1.0
+
+    @property
+    def shape(self):
+        return (len(self.order), len(self.order))
+
+    def apply(self, x):
+        out = np.empty_like(x)
+        out[list(self.order)] = x
+        return self.gain * out
+
+    def adjoint(self, y):
+        return self.gain * y[list(self.order)]
+
+
+class TestTransformBasis:
+    def test_accepted_kept_and_used_by_products(self):
+        basis = Permutation((2, 0, 1))
+        fact = SpectralFactorization(basis, None, np.array([3.0, 2.0, 1.0]), (3, 3))
+        assert fact.u_basis is basis
+        dense = np.zeros((3, 3))
+        dense[[2, 0, 1], [0, 1, 2]] = 1.0  # B e_i = e_order[i]
+        x = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(apply(fact, x), dense @ (fact.diag * x))
+        assert np.array_equal(adjoint_apply(fact, x), fact.diag * (dense.T @ x))
+        _check_reconstruction(dense * fact.diag, fact)
+
+    def test_reconstruction_probe_runs_through_transform(self):
+        fact = SpectralFactorization(Permutation((1, 0)), None, np.array([2.0, 1.0]), (2, 2))
+        with pytest.raises(FactorizationFailure, match="reconstruction defect"):
+            _check_reconstruction(np.diag([2.0, 1.0]), fact)
+
+    @pytest.mark.parametrize("gain", [1.0 + 1e-6, float("nan")])
+    def test_rejected_unless_orthonormal(self, gain):
+        with pytest.raises(DomainError, match="not orthonormal"):
+            SpectralFactorization(Permutation((1, 0), gain), None, np.array([1.0, 1.0]), (2, 2))
+
+    def test_rejected_on_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            SpectralFactorization(None, Permutation((1, 0)), np.array([1.0, 1.0, 1.0]), (3, 3))
 
 
 class TestValidation:

@@ -1,11 +1,16 @@
 """Second-derivative test family and the seeded noise model."""
 
+import gc
+import types
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmg import (
+    DimensionMismatch,
     DomainError,
     FactorizationFailure,
     NoiseSpec,
@@ -15,8 +20,30 @@ from dsmg import (
     problems,
     second_derivative_problem,
 )
+from dsmg.cli import _bench_cell
 from dsmg.linalg import _check_reconstruction
-from oracles import greens_kernel
+from oracles import dst2_basis, greens_kernel
+
+
+def relative_gap(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def reachable_arrays(root) -> list:
+    """Every ndarray reachable from ``root`` through object references and array bases."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
 
 
 class TestGreensKernel:
@@ -122,10 +149,11 @@ class TestClosedFormFactorization:
         fact = problem.factorization
         assert fact is problem.factorization
         assert fact.shape == (n, n)
-        assert np.array_equal(fact.u_basis, -fact.v_basis)
-        # phases reduced in integers: sin((2j - 1) k pi / (2N)) vanishes exactly
-        phase = np.outer(np.arange(1, 2 * n, 2), np.arange(1, n + 1))
-        assert np.all(fact.v_basis[phase % (2 * n) == 0] == 0.0)
+        # U = -V, both applied by the same FFT; checked on one probe block
+        dense = dst2_basis(n)
+        block = np.random.default_rng(n).standard_normal((n, 8))
+        assert relative_gap(fact.v_basis.apply(block), dense @ block) <= 1e-14
+        assert relative_gap(fact.u_basis.adjoint(block), -dense.T @ block) <= 1e-14
         # rebuilding reruns the orthonormality check on both bases
         SpectralFactorization(fact.u_basis, fact.v_basis, fact.diag, fact.shape)
         _check_reconstruction(problem.matrix, fact)
@@ -146,6 +174,78 @@ class TestClosedFormFactorization:
         problem = second_derivative_problem(n, np.sin)
         with pytest.raises(FactorizationFailure, match="reconstruction defect"):
             problem.factorization
+
+
+class TestSineBasis:
+    """The FFT-applied DST-II basis against the dense construction."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10, 800])
+    @pytest.mark.parametrize("columns", [(), (8,)])
+    def test_matches_dense_oracle(self, n, columns):
+        fact = problems._dst2_factorization(n)
+        dense = dst2_basis(n)
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((n,) + columns)
+        for basis, sign in ((fact.v_basis, 1.0), (fact.u_basis, -1.0)):
+            assert basis.shape == (n, n)
+            assert relative_gap(basis.apply(data), sign * (dense @ data)) <= 1e-14
+            assert relative_gap(basis.adjoint(data), sign * (dense.T @ data)) <= 1e-14
+
+    def test_complex_input_split_into_parts(self):
+        basis = problems._dst2_factorization(9).v_basis
+        dense = dst2_basis(9)
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        assert relative_gap(basis.apply(data), dense @ data) <= 1e-14
+        assert relative_gap(basis.adjoint(data), dense.T @ data) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (5, 2), (6, 2, 1)])
+    def test_rejects_wrong_shape(self, shape):
+        basis = problems._dst2_factorization(6).v_basis
+        for method in (basis.apply, basis.adjoint):
+            with pytest.raises(DimensionMismatch):
+                method(np.ones(shape))
+
+    @pytest.mark.parametrize("n", [2, 7, 100, 800])
+    @pytest.mark.parametrize("wrong", ["last column unscaled", "weights off by 1e-6"])
+    def test_wrong_weight_rejected_by_orthonormality_probe(self, n, wrong):
+        fact = problems._dst2_factorization(n)
+        weights = fact.v_basis.weights.copy()
+        if wrong == "last column unscaled":
+            weights[-1] = weights[0]
+        else:
+            weights *= 1.0 + 1e-6
+        bad = replace(fact.v_basis, weights=weights)
+        for u_basis, v_basis in ((fact.u_basis, bad), (replace(bad, sign=-1.0), fact.v_basis)):
+            with pytest.raises(DomainError, match="not orthonormal"):
+                SpectralFactorization(u_basis, v_basis, fact.diag, fact.shape)
+
+
+class TestSweepWithoutDenseBases:
+    @pytest.mark.parametrize("n", [10, 57, 500])
+    def test_bench_cell_matches_dense_basis_oracle(self, n):
+        problem = second_derivative_problem(n, np.sin)
+        fast = problem.factorization
+        v = dst2_basis(n)
+        dense = SpectralFactorization(-v, v, fast.diag, fast.shape)
+        for seed in range(3):
+            got = _bench_cell(problem, fast, 0.01, seed, 1.1)
+            want = _bench_cell(problem, dense, 0.01, seed, 1.1)
+            assert [r.iterations for r in got] == [r.iterations for r in want]
+            assert all(r.iterations >= 0 for r in got)
+            for row, ref in zip(got, want):
+                for field in ("relative_error", "t_or_alpha"):
+                    value, expected = getattr(row, field), getattr(ref, field)
+                    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    def test_factorization_stores_no_square_array(self):
+        n = 800
+        problem = second_derivative_problem(n, np.sin)
+        fact = problem.factorization
+        fact.eigenvalues  # noqa: B018 -- fill the cached spectrum too
+        arrays = reachable_arrays(fact)
+        assert len(arrays) >= 3  # diag, eigenvalues and the weights
+        assert max(array.size for array in arrays) <= 10 * n
 
 
 class TestAddNoise:
