@@ -150,7 +150,8 @@ def deconvolve_2d(
     restored, report = _deconvolve(
         psf.pixels, observed.pixels, delta_rel * float(np.linalg.norm(observed.pixels)), rule
     )
-    return GrayImage(restored).clamped(), report
+    # restored is a fresh array: clip it in place, then freeze one copy
+    return GrayImage(np.clip(restored, 0.0, 1.0, out=restored)), report
 
 
 def blur_periodic(image: GrayImage, psf: GrayImage) -> GrayImage:

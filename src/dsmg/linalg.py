@@ -239,6 +239,5 @@ def from_diagonal(diag) -> SpectralFactorization:
     d = np.asarray(diag)
     if d.ndim != 1 or len(d) == 0:
         raise DimensionMismatch("diag must be a nonempty 1-d sequence")
-    _require_finite(d, "diag")
     n = len(d)
     return SpectralFactorization(u_basis=None, v_basis=None, diag=d, shape=(n, n))

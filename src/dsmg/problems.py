@@ -84,6 +84,9 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 < self.delta_rel < 1.0:
             raise DomainError(f"delta_rel={self.delta_rel} must lie in (0, 1)")
+        seed = self.seed  # bool is an int subclass, but a flag is not a seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DomainError(f"seed={seed!r} must be a nonnegative integer")
 
 
 def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestProblem:

@@ -1,19 +1,16 @@
-"""Gradient-flow regularization with closed-form spectral evaluation.
+"""One spectral core for gradient-flow and Tikhonov regularization.
 
-The flow du/dt = -A*(A u - f_delta) is never integrated numerically for the
-solution path: given A = U S V*, the state at time t and the residual norm
-
-    psi(t) = ||A u(t) - f_delta||
-
-have closed spectral forms, so picking the stopping time reduces to scalar
-root finding. ``solve`` supports two stopping rules: the discrepancy
-principle psi(t) = C * delta solved by Newton's method on log psi from
-t = 0, one fused pass over the spectrum at t = 0 and one per iteration
-(log psi is convex and decreasing, so the iterates rise monotonically to
-the root), and the a priori time t = C / delta**gamma.
-``_newton_on_log_psi`` is the package's one parameter search: the Tikhonov
-baseline calls it too, and both feed it passes of the one residual kernel
-``_norm_and_slope``.
+Given A = U S V* and lam_i = |s_i|^2, a ``NoisyProblem`` caches the start
+residual r0 = U* (A u0 - f_delta), its moduli ``residual_weights`` and the
+``residual_floor``. Both methods are spectral filters (Engl, Hanke &
+Neubauer, 1996, ch. 4) with one damping law each: the flow du/dt =
+-A*(A u - f_delta) keeps exp(-t lam_i) of mode i, decaying at rate lam_i in
+t; Tikhonov keeps 1 / (1 + beta lam_i), decaying at rate lam_i / (1 + beta
+lam_i) in beta = 1 / alpha. So psi = ||A u - f_delta|| and psi' come from
+one kernel, ``_norm_and_slope``, the state from one synthesis
+u = u0 - V (gains * r0), and the parameter from one Newton search on the
+convex, decreasing log psi from 0, ``_newton_on_log_psi``: one pass at 0 and
+one per iteration. ``solve`` also offers the a priori time t = C / delta**gamma.
 """
 
 import math
@@ -56,8 +53,8 @@ class AprioriRule:
     gamma: float = 0.5
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise DomainError(f"a priori constant C={self.C} must be positive")
+        if not 0.0 < self.C < math.inf:
+            raise DomainError(f"a priori constant C={self.C} must be positive and finite")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"a priori exponent gamma={self.gamma} must lie in (0, 1)")
 
@@ -70,7 +67,8 @@ class NoisyProblem:
     """A factorized operator, noisy right-hand side, noise bound and start point.
 
     ``delta`` bounds the data error ||f_delta - f|| in the same norm as
-    ``f_delta``. ``u0`` defaults to the zero vector.
+    ``f_delta``. ``u0`` defaults to the zero vector; both regularizers start
+    from it.
     """
 
     factorization: SpectralFactorization
@@ -116,7 +114,7 @@ class NoisyProblem:
 
     @cached_property
     def initial_residual_coefficients(self) -> np.ndarray:
-        """U* (A u0 - f_delta), the residual of the start point in the U basis."""
+        """r0 = U* (A u0 - f_delta), the residual of the start point in the U basis."""
         fact = self.factorization
         if np.count_nonzero(self.u0) == 0:
             out = -self.rhs_coefficients
@@ -127,10 +125,17 @@ class NoisyProblem:
         return out
 
     @cached_property
+    def residual_weights(self) -> np.ndarray:
+        """|r0|: the moduli that every residual pass damps, computed once."""
+        out = np.abs(self.initial_residual_coefficients)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def residual_floor(self) -> float:
-        """inf_t psi(t): the residual on modes with zero eigenvalue and off range(U)."""
+        """inf psi of both methods: r0 = -U* f_delta on zero eigenvalues, and off range(U)."""
         stuck = self.factorization.eigenvalues == 0.0
-        return _floor(self.initial_residual_coefficients[stuck], self._off_range_norm)
+        return math.hypot(_scaled_norm(self.residual_weights[stuck]), self._off_range_norm)
 
 
 class NewtonResult(NamedTuple):
@@ -159,7 +164,8 @@ def evolution_filter(lam, t: float):
     tiny t*lam does not cancel; the result always lies in [0, t].
     """
     lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr < 0):
+    # negated, so that NaN is rejected too
+    if not np.all(lam_arr >= 0):
         raise DomainError("eigenvalues must be nonnegative")
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t={t} must be nonnegative and finite")
@@ -173,25 +179,21 @@ def evolution_filter(lam, t: float):
     return gains
 
 
+def _synthesis(problem: NoisyProblem, gains: np.ndarray) -> np.ndarray:
+    """u = u0 - V (gains * r0), the state of either method; u0 outside span(V) never moves."""
+    step = gains * problem.initial_residual_coefficients
+    return problem.u0 - _left_multiply(problem.factorization.v_basis, step)
+
+
 def solution_at(problem: NoisyProblem, t: float) -> np.ndarray:
     """Evaluate the flow state u(t) in closed form.
 
-    u(t) = u0 + V [ expm1(-t L) V* u0 + diag(filter(lam_i, t)) conj(S) U* f_delta ]
-    where L = diag(|s_i|^2): the part of u0 outside span(V) never moves. At
-    t = 0 this is exactly u0.
+    u(t) = u0 - V diag(filter(lam_i, t) conj(s_i)) U* (A u0 - f_delta), with
+    the filter of ``evolution_filter``; at t = 0 the filter vanishes and
+    u(0) = u0.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"t={t} must be nonnegative and finite")
-    if t == 0.0:
-        return np.array(problem.u0)
     fact = problem.factorization
-    gains = evolution_filter(fact.eigenvalues, t)
-    driven = gains * fact.diag.conj() * problem.rhs_coefficients
-    if np.count_nonzero(problem.u0) == 0:
-        return _left_multiply(fact.v_basis, driven)
-    start_coeffs = _adjoint_multiply(fact.v_basis, problem.u0)
-    coeffs = np.expm1(-t * fact.eigenvalues) * start_coeffs + driven
-    return problem.u0 + _left_multiply(fact.v_basis, coeffs)
+    return _synthesis(problem, evolution_filter(fact.eigenvalues, t) * fact.diag.conj())
 
 
 def _scaled_norm(values: np.ndarray) -> float:
@@ -202,43 +204,35 @@ def _scaled_norm(values: np.ndarray) -> float:
     return scale * float(np.linalg.norm(values / scale))
 
 
-def _floor(stuck: np.ndarray, off_range: float) -> float:
-    """Norm of the residual that never decays: zero-eigenvalue modes and off-range data."""
-    return math.hypot(_scaled_norm(stuck), off_range)
+def _norm_and_slope(problem: NoisyProblem, damping, rate) -> tuple[float, float]:
+    """psi and psi' of a residual whose mode i keeps the fraction damping_i of |r0_i|.
 
-
-def _norm_and_slope(damped: np.ndarray, rate: np.ndarray, off_range: float) -> tuple[float, float]:
-    """psi = ||(damped, off_range)|| and psi' = -sum(rate * damped**2) / psi in one pass.
-
-    This is the one residual kernel: each mode contributes its damped
-    residual modulus and the rate at which the damping decays it, and
-    ``off_range`` is the residual outside range(U), a mode that never
-    decays. The moduli are rescaled by their maximum before squaring, so the
-    squares underflow only where they are negligible. ``damped`` is
-    overwritten. psi' is reported as 0 when psi itself is 0.
+    The one residual kernel: both damping laws are real, so only the
+    ``residual_weights`` enter; mode i decays at ``rate_i``, and the data off
+    range(U) never decays. With d the damped weights, psi = ||(d, off_range)||
+    and psi' = -sum(rate * d**2) / psi. d is rescaled by its maximum before
+    squaring, so the squares underflow only where they are negligible.
+    ``damping`` is overwritten. psi' is reported as 0 when psi itself is 0.
     """
-    scale = max(float(damped.max(initial=0.0)), off_range)
+    damping *= problem.residual_weights
+    off_range = problem._off_range_norm
+    scale = max(float(damping.max(initial=0.0)), off_range)
     if scale == 0.0:
         return 0.0, 0.0
-    damped /= scale
-    damped *= damped
-    norm = math.sqrt(float(damped.sum()) + (off_range / scale) ** 2)
-    return scale * norm, -scale * float(np.dot(rate, damped)) / norm
+    damping /= scale
+    damping *= damping
+    norm = math.sqrt(float(damping.sum()) + (off_range / scale) ** 2)
+    return scale * norm, -scale * float(np.dot(rate, damping)) / norm
 
 
 def _residual_pass(problem: NoisyProblem, t: float) -> tuple[float, float]:
-    """psi(t) and psi'(t) of the flow from one pass over the spectrum.
-
-    The damping exp(-t*lam) is real, so only the moduli of the residual
-    coefficients enter, and each decays at rate lam.
-    """
+    """psi(t) and psi'(t) of the flow: mode i keeps exp(-t*lam_i), at rate lam_i."""
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t={t} must be nonnegative and finite")
     lam = problem.factorization.eigenvalues
-    damped = lam * -t
-    np.exp(damped, out=damped)
-    damped *= np.abs(problem.initial_residual_coefficients)
-    return _norm_and_slope(damped, lam, problem._off_range_norm)
+    damping = lam * -t
+    np.exp(damping, out=damping)
+    return _norm_and_slope(problem, damping, lam)
 
 
 def discrepancy(problem: NoisyProblem, t: float) -> float:

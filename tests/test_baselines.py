@@ -174,3 +174,61 @@ def test_same_contract_shape_as_gradient_solver():
     target = C * problem.delta
     assert abs(vr_report.residual_norm - target) <= 1e-8 * target
     assert abs(flow_report.residual_norm - target) <= 1e-8 * target
+
+
+def generalized_tikhonov(matrix, f, start, alpha):
+    """u0 + (A*A + alpha I)^-1 A* (f - A u0) by a dense solve."""
+    gram = matrix.T @ matrix + alpha * np.eye(matrix.shape[1])
+    return start + np.linalg.solve(gram, matrix.T @ (f - matrix @ start))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9)])
+def test_regularizes_toward_start_point(shape):
+    # a wide system keeps the part of u0 outside span(V); a tall one keeps
+    # its off-range data in the residual
+    m, n = shape
+    for seed in range(5):
+        rng = np.random.default_rng(seed + 1200)
+        matrix = random_matrix(seed + 1200, m, n, 0.05, 2.0)
+        noise = 0.05 * rng.normal(size=m)
+        f = matrix @ rng.normal(size=n) + noise
+        start = rng.normal(size=n)
+        problem = NoisyProblem(factorize_svd(matrix), f, np.linalg.norm(noise), u0=start)
+        for alpha in (1e-3, 0.1, 10.0):
+            oracle = generalized_tikhonov(matrix, f, start, alpha)
+            got = tikhonov_solution(problem, alpha)
+            assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        report = vr_solve(problem, 1.2)
+        target = 1.2 * problem.delta
+        assert abs(report.residual_norm - target) <= 1e-8 * target
+        oracle = generalized_tikhonov(matrix, f, start, report.alpha)
+        assert np.linalg.norm(report.solution - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        direct = np.linalg.norm(matrix @ report.solution - f)
+        assert abs(report.residual_norm - direct) <= 1e-10 * direct
+
+
+def test_start_point_leaves_floor_unchanged():
+    # r0 = -U* f_delta on zero eigenvalues, whatever u0 is
+    fact = from_diagonal([2.0, 0.0, 0.5])
+    f = np.array([1.0, 2.0, 3.0])
+    started = NoisyProblem(fact, f, delta=0.01, u0=np.array([4.0, 5.0, 6.0]))
+    assert started.residual_floor == NoisyProblem(fact, f, delta=0.01).residual_floor == 2.0
+    with pytest.raises(UnattainableDiscrepancy):
+        vr_solve(started, 1.5)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
+def test_residual_weights_are_one_frozen_cache(shape):
+    # both methods damp the same cached moduli: no pass recomputes them
+    m, n = shape
+    base = random_problem(1300, m, n, sing_lo=0.05, sing_hi=2.0)
+    start = np.random.default_rng(1300).normal(size=n)
+    started = NoisyProblem(base.factorization, base.f_delta, base.delta, u0=start)
+    for problem in (base, started):
+        weights = problem.residual_weights
+        assert not weights.flags.writeable
+        assert weights.tobytes() == np.abs(problem.initial_residual_coefficients).tobytes()
+        solve(problem, DiscrepancyRule(C=1.1))
+        vr_solve(problem, 1.1)
+        assert problem.residual_weights is weights
+

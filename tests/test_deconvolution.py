@@ -216,6 +216,11 @@ class TestDeconvolve2d:
         restored, _ = deconvolve_2d(observed, psf, 0.05, DiscrepancyRule(C=1.1))
         assert restored.pixels.min() >= 0.0
         assert restored.pixels.max() <= 1.0
+        assert not restored.pixels.flags.writeable
+        delta = 0.05 * float(np.linalg.norm(observed.pixels))
+        raw, _ = _deconvolve(psf.pixels, observed.pixels, delta, DiscrepancyRule(C=1.1))
+        assert raw.min() < 0.0  # the clip is exercised
+        assert restored.pixels.tobytes() == np.clip(raw, 0.0, 1.0).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -169,6 +169,11 @@ class TestFromDiagonal:
         with pytest.raises(DimensionMismatch):
             from_diagonal([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="diag contains non-finite entries"):
+            from_diagonal([1.0, bad])
+
 
 class TestApply:
     def test_identity(self):

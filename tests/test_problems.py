@@ -281,3 +281,15 @@ class TestAddNoise:
             NoiseSpec(0.0, 1)
         with pytest.raises(DomainError):
             NoiseSpec(1.5, 1)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, np.float64(2.0), "3", None, True])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError):
+            NoiseSpec(0.01, seed)
+
+    def test_numpy_integer_seed_gives_identical_noise(self):
+        b = np.linspace(1.0, 2.0, 33)
+        expected, _ = add_noise(b, NoiseSpec(0.01, 5))
+        for seed in (np.int64(5), np.uint32(5), np.int8(5)):
+            noisy, _ = add_noise(b, NoiseSpec(0.01, seed))
+            assert noisy.tobytes() == expected.tobytes()

@@ -73,6 +73,11 @@ class TestEvolutionFilter:
         with pytest.raises(DomainError):
             evolution_filter(1.0, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, np.array([1.0, math.nan]), np.array([-math.inf])])
+    def test_rejects_nan_and_negative_infinite_eigenvalues(self, lam):
+        with pytest.raises(DomainError):
+            evolution_filter(lam, 1.0)
+
 
 class TestSolutionAt:
     def test_zero_time_zero_start(self):
@@ -90,6 +95,11 @@ class TestSolutionAt:
         problem = scalar_problem()
         for t in (0.1, 1.0, 4.0):
             assert abs(solution_at(problem, t)[0] - (1 - math.exp(-t))) < 1e-14
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_time(self, t):
+        with pytest.raises(DomainError):
+            solution_at(scalar_problem(), t)
 
     def test_matches_euler_integration(self):
         problem = random_problem(2, m=6, n=6, sing_lo=0.5, sing_hi=1.0)
@@ -316,7 +326,7 @@ class TestNewtonFromZero:
 
     def test_precondition_violated_when_no_root(self):
         # ||f|| = 0.001 < C*delta: solve stops at the zero start, flagged,
-        # and Tikhonov, which always starts from zero, has no alpha to pick
+        # and Tikhonov, from the same zero start, has no alpha to pick
         problem = scalar_problem(f=0.001, delta=0.01)
         report = solve(problem, DiscrepancyRule(C=1.5))
         assert report.t_delta == 0.0
@@ -513,6 +523,9 @@ class TestSolve:
             DiscrepancyRule(C=1.0)
         with pytest.raises(DomainError):
             AprioriRule(C=-1.0)
+        for constant in (math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError):
+                AprioriRule(C=constant)
         with pytest.raises(DomainError):
             AprioriRule(C=1.0, gamma=1.0)
 
