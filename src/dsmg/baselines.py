@@ -1,8 +1,8 @@
 """Variational (Tikhonov) regularization baseline with discrepancy-chosen alpha.
 
 It runs on the spectral core of ``solver`` with the second damping law: with
-beta = 1 / alpha, mode i keeps 1 / (1 + lam_i beta) of |r_i|, r = U* (A u0 -
-f_delta), and decays at rate lam_i / (1 + lam_i beta). log psi_vr(beta) =
+beta = 1 / alpha, mode i keeps 1 / (1 + lam_i beta) of |r_i|, r = U* (f_delta -
+A u0), and decays at rate lam_i / (1 + lam_i beta). log psi_vr(beta) =
 1/2 log sum_i exp(-2 log(1 + lam_i beta)) |r_i|^2 is a log-sum-exp of convex
 functions of beta, hence convex, and it is decreasing, so beta is found by
 the flow's Newton search on log psi from beta = 0, and the solution is the

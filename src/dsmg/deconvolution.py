@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import _frozen_array, from_diagonal
+from .linalg import _admitted, _require_positive, from_diagonal
 from .solver import NoisyProblem, SolveReport, StoppingRule, solve
 
 
@@ -38,20 +38,12 @@ class CirculantProblem:
     delta: float
 
     def __post_init__(self):
-        kernel = _frozen_array(self.kernel, dtype=float)
-        observed = _frozen_array(self.observed, dtype=float)
+        kernel = _admitted(self.kernel, "kernel", ndim=1, dtype=float)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "observed", observed)
-        if kernel.ndim != 1 or observed.ndim != 1:
-            raise DimensionMismatch("kernel and observed signal must be 1-d")
-        if len(kernel) != len(observed):
-            raise DimensionMismatch(
-                f"kernel length {len(kernel)} != signal length {len(observed)}"
-            )
-        if not np.all(np.isfinite(kernel)) or not np.all(np.isfinite(observed)):
-            raise DomainError("kernel and observed signal must be finite")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise DomainError(f"delta={self.delta} must be positive and finite")
+        object.__setattr__(
+            self, "observed", _admitted(self.observed, "observed", kernel.shape, dtype=float)
+        )
+        _require_positive(self.delta, "delta")
 
 
 @dataclass(frozen=True)
@@ -61,12 +53,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        pixels = _frozen_array(self.pixels, dtype=float)
-        object.__setattr__(self, "pixels", pixels)
-        if pixels.ndim != 2 or pixels.size == 0:
-            raise DimensionMismatch("pixels must be a nonempty 2-d array")
-        if not np.all(np.isfinite(pixels)):
-            raise DomainError("pixels must be finite")
+        object.__setattr__(self, "pixels", _admitted(self.pixels, "pixels", ndim=2, dtype=float))
 
     @property
     def width(self) -> int:
@@ -96,19 +83,20 @@ def _half_spectrum_weights(width: int) -> np.ndarray:
 
 def _deconvolve(kernel, observed, delta: float, rule: StoppingRule) -> tuple[np.ndarray, SolveReport]:
     """Solve a real 2-d periodic deconvolution on the weighted half spectrum."""
-    kernel_hat = np.fft.rfft2(kernel)
-    if not np.any(kernel_hat != 0):
+    factorization = from_diagonal(np.fft.rfft2(kernel).ravel())
+    if not factorization.diag.any():
         raise DomainError("kernel transform is identically zero")
     weights = _half_spectrum_weights(observed.shape[1])
     # Parseval for the unnormalized DFT: norms gain a factor sqrt(N), so the
     # noise bound must be converted into the Fourier domain alongside the data.
     spectral = NoisyProblem(
-        factorization=from_diagonal(kernel_hat.ravel()),
+        factorization=factorization,
         f_delta=(np.fft.rfft2(observed) * weights).ravel(),
         delta=np.sqrt(observed.size) * delta,
     )
     report = solve(spectral, rule)
-    restored = np.fft.irfft2(report.solution.reshape(kernel_hat.shape) / weights, s=observed.shape)
+    del spectral, factorization  # no spectrum but the solution is alive in irfft2
+    restored = np.fft.irfft2(report.solution.reshape(-1, len(weights)) / weights, s=observed.shape)
     return restored, report
 
 
@@ -145,8 +133,7 @@ def deconvolve_2d(
         raise DimensionMismatch(
             f"image {observed.pixels.shape} and psf {psf.pixels.shape} differ in shape"
         )
-    if not (np.isfinite(delta_rel) and delta_rel > 0):
-        raise DomainError(f"delta_rel={delta_rel} must be positive and finite")
+    _require_positive(delta_rel, "delta_rel")
     restored, report = _deconvolve(
         psf.pixels, observed.pixels, delta_rel * float(np.linalg.norm(observed.pixels)), rule
     )

@@ -15,7 +15,8 @@ derived spectrum is always the real vector |s_i|^2. A basis is one of:
 ``_left_multiply`` and ``_adjoint_multiply`` are the only code that tells
 the three kinds apart; every check and product goes through them.
 
-All stored arrays are copied and frozen, and every operation is a pure
+One rule admits every input array of the package, ``_admitted``: a frozen
+copy with a checked shape and finite entries. Every operation is a pure
 function, so values can be shared freely across threads.
 
 Factorizations are checked with Freivalds-style probes: X is a fixed-seed
@@ -56,15 +57,30 @@ class _Transform(Protocol):
 _Basis = np.ndarray | _Transform | None
 
 
-def _frozen_array(values, dtype=None) -> np.ndarray:
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} contains non-finite entries")
+
+
+def _admitted(values, name: str, shape=None, *, ndim=None, dtype=None) -> np.ndarray:
+    """A frozen copy of an input array of exactly ``shape``, or else nonempty of ``ndim``.
+
+    Raises DimensionMismatch on another shape and DomainError on a non-finite entry.
+    """
     out = np.array(values, dtype=dtype, copy=True)
+    if shape is not None and out.shape != shape:
+        raise DimensionMismatch(f"{name} has shape {out.shape}, expected {shape}")
+    if ndim is not None and (out.ndim != ndim or out.size == 0):
+        raise DimensionMismatch(f"{name} has shape {out.shape}, expected nonempty {ndim}-d")
+    _require_finite(out, name)
     out.setflags(write=False)
     return out
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} contains non-finite entries")
+def _require_positive(value, name: str) -> None:
+    """The admission rule of a scalar bound: positive and finite, or DomainError."""
+    if not (np.isfinite(value) and value > 0):
+        raise DomainError(f"{name}={value} must be positive and finite")
 
 
 def _probes(rows: int) -> np.ndarray:
@@ -84,8 +100,8 @@ class SpectralFactorization:
     ``u_basis`` / ``v_basis`` are each ``None``, a dense array or an
     orthonormal transform (see the module docstring). ``None`` stands for a
     k x k identity matrix, so only a basis of a side with k rows can be
-    omitted. Dense arrays are copied, frozen and checked finite; a transform
-    is kept as given.
+    omitted. ``diag`` and dense bases are admitted by ``_admitted``; a
+    transform is kept as given, after a check of its shape.
     ``diag`` holds the k diagonal entries of S, possibly complex and in
     caller-defined order (``factorize_svd`` sorts them nonincreasing,
     ``from_diagonal`` preserves positional order).
@@ -108,10 +124,7 @@ class SpectralFactorization:
         if m < 1 or n < 1:
             raise DimensionMismatch(f"shape {self.shape} must be at least 1 x 1")
         k = min(m, n)
-        object.__setattr__(self, "diag", _frozen_array(self.diag))
-        if self.diag.ndim != 1 or len(self.diag) != k:
-            raise DimensionMismatch(f"diag has length {len(self.diag)}, expected {k}")
-        _require_finite(self.diag, "diag")
+        object.__setattr__(self, "diag", _admitted(self.diag, "diag", (k,)))
         # compared, not squared: squaring would warn on the overflow it detects
         if not np.all(np.abs(self.diag) <= MAX_SINGULAR_VALUE):
             raise DomainError(f"|diag| exceeds {MAX_SINGULAR_VALUE:.3e}; |s_i|^2 overflows")
@@ -121,10 +134,9 @@ class SpectralFactorization:
                     raise DimensionMismatch(f"{name} of {dim} rows cannot be the identity")
                 continue
             if not hasattr(basis, "adjoint"):  # dense; a transform is kept as given
-                basis = _frozen_array(basis)
+                basis = _admitted(basis, name, (dim, k))
                 object.__setattr__(self, name, basis)
-                _require_finite(basis, name)
-            if basis.shape != (dim, k):
+            elif basis.shape != (dim, k):
                 raise DimensionMismatch(f"{name} has shape {basis.shape}, expected {(dim, k)}")
             x = _probes(k)
             defect = _probe_norm(_adjoint_multiply(basis, _left_multiply(basis, x)) - x)

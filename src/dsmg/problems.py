@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import SpectralFactorization, _check_reconstruction, _frozen_array
+from .linalg import SpectralFactorization, _check_reconstruction
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,9 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
     matrix[np.diag_indices(N)] = h * h * ((idx * idx - idx + 0.25) * h - (idx - 2.0 / 3.0))
     exact_solution = np.array([float(u_fn(point)) for point in mid])
     exact_rhs = matrix @ exact_solution
-    return TestProblem(
-        matrix=_frozen_array(matrix),
-        exact_solution=_frozen_array(exact_solution),
-        exact_rhs=_frozen_array(exact_rhs),
-        label=f"second-derivative N={N}",
-    )
+    for fresh in (matrix, exact_solution, exact_rhs):
+        fresh.setflags(write=False)
+    return TestProblem(matrix, exact_solution, exact_rhs, label=f"second-derivative N={N}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +174,8 @@ def _dst2_factorization(N: int) -> SpectralFactorization:
     diag = h * h * (0.25 / quarter[1:] ** 2 - 1.0 / 6.0)
     weights = np.full(N, np.sqrt(2.0 / N))
     weights[-1] *= np.sqrt(0.5)
-    v = _SineBasis(_frozen_array(weights))
+    weights.setflags(write=False)
+    v = _SineBasis(weights)
     u = replace(v, sign=-1.0)
     return SpectralFactorization(u_basis=u, v_basis=v, diag=diag, shape=(N, N))
 

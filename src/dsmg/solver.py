@@ -1,14 +1,14 @@
 """One spectral core for gradient-flow and Tikhonov regularization.
 
 Given A = U S V* and lam_i = |s_i|^2, a ``NoisyProblem`` caches the start
-residual r0 = U* (A u0 - f_delta), its moduli ``residual_weights`` and the
+residual r0 = U* (f_delta - A u0), its moduli ``residual_weights`` and the
 ``residual_floor``. Both methods are spectral filters (Engl, Hanke &
 Neubauer, 1996, ch. 4) with one damping law each: the flow du/dt =
 -A*(A u - f_delta) keeps exp(-t lam_i) of mode i, decaying at rate lam_i in
 t; Tikhonov keeps 1 / (1 + beta lam_i), decaying at rate lam_i / (1 + beta
 lam_i) in beta = 1 / alpha. So psi = ||A u - f_delta|| and psi' come from
 one kernel, ``_norm_and_slope``, the state from one synthesis
-u = u0 - V (gains * r0), and the parameter from one Newton search on the
+u = u0 + V (gains * r0), and the parameter from one Newton search on the
 convex, decreasing log psi from 0, ``_newton_on_log_psi``: one pass at 0 and
 one per iteration. ``solve`` also offers the a priori time t = C / delta**gamma.
 """
@@ -21,12 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     DomainError,
     IterationBudgetExceeded,
     UnattainableDiscrepancy,
 )
-from .linalg import SpectralFactorization, _adjoint_multiply, _frozen_array, _left_multiply
+from .linalg import (
+    SpectralFactorization, _adjoint_multiply, _admitted, _left_multiply, _require_positive,
+)
 
 NEWTON_TOL_REL = 1e-8
 NEWTON_MAX_ITER = 100
@@ -68,7 +69,8 @@ class NoisyProblem:
 
     ``delta`` bounds the data error ||f_delta - f|| in the same norm as
     ``f_delta``. ``u0`` defaults to the zero vector; both regularizers start
-    from it.
+    from it. Every all-zero start is stored as a real zero vector, so it
+    solves exactly as the default does.
     """
 
     factorization: SpectralFactorization
@@ -78,21 +80,10 @@ class NoisyProblem:
 
     def __post_init__(self):
         m, n = self.factorization.shape
-        f = _frozen_array(self.f_delta)
-        object.__setattr__(self, "f_delta", f)
-        if f.shape != (m,):
-            raise DimensionMismatch(f"f_delta has shape {f.shape}, expected ({m},)")
-        if not np.all(np.isfinite(f)):
-            raise DomainError("f_delta contains non-finite entries")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise DomainError(f"delta={self.delta} must be positive and finite")
-        start = np.zeros(n) if self.u0 is None else self.u0
-        start = _frozen_array(start)
-        object.__setattr__(self, "u0", start)
-        if start.shape != (n,):
-            raise DimensionMismatch(f"u0 has shape {start.shape}, expected ({n},)")
-        if not np.all(np.isfinite(start)):
-            raise DomainError("u0 contains non-finite entries")
+        object.__setattr__(self, "f_delta", _admitted(self.f_delta, "f_delta", (m,)))
+        _require_positive(self.delta, "delta")
+        start = _admitted(np.zeros(n) if self.u0 is None else self.u0, "u0", (n,))
+        object.__setattr__(self, "u0", start if start.any() else start.real)
 
     @cached_property
     def rhs_coefficients(self) -> np.ndarray:
@@ -114,13 +105,14 @@ class NoisyProblem:
 
     @cached_property
     def initial_residual_coefficients(self) -> np.ndarray:
-        """r0 = U* (A u0 - f_delta), the residual of the start point in the U basis."""
+        """r0 = U* (f_delta - A u0), the residual of the start point in the U basis.
+
+        At a zero start it is ``rhs_coefficients`` itself, so no copy is kept.
+        """
+        if not self.u0.any():
+            return self.rhs_coefficients
         fact = self.factorization
-        if np.count_nonzero(self.u0) == 0:
-            out = -self.rhs_coefficients
-        else:
-            out = fact.diag * _adjoint_multiply(fact.v_basis, self.u0) - self.rhs_coefficients
-        # both branches computed a fresh array, frozen in place
+        out = self.rhs_coefficients - fact.diag * _adjoint_multiply(fact.v_basis, self.u0)
         out.setflags(write=False)
         return out
 
@@ -133,7 +125,7 @@ class NoisyProblem:
 
     @cached_property
     def residual_floor(self) -> float:
-        """inf psi of both methods: r0 = -U* f_delta on zero eigenvalues, and off range(U)."""
+        """inf psi of both methods: r0 = U* f_delta on zero eigenvalues, and off range(U)."""
         stuck = self.factorization.eigenvalues == 0.0
         return math.hypot(_scaled_norm(self.residual_weights[stuck]), self._off_range_norm)
 
@@ -180,15 +172,15 @@ def evolution_filter(lam, t: float):
 
 
 def _synthesis(problem: NoisyProblem, gains: np.ndarray) -> np.ndarray:
-    """u = u0 - V (gains * r0), the state of either method; u0 outside span(V) never moves."""
+    """u = u0 + V (gains * r0), the state of either method; u0 outside span(V) never moves."""
     step = gains * problem.initial_residual_coefficients
-    return problem.u0 - _left_multiply(problem.factorization.v_basis, step)
+    return problem.u0 + _left_multiply(problem.factorization.v_basis, step)
 
 
 def solution_at(problem: NoisyProblem, t: float) -> np.ndarray:
     """Evaluate the flow state u(t) in closed form.
 
-    u(t) = u0 - V diag(filter(lam_i, t) conj(s_i)) U* (A u0 - f_delta), with
+    u(t) = u0 + V diag(filter(lam_i, t) conj(s_i)) U* (f_delta - A u0), with
     the filter of ``evolution_filter``; at t = 0 the filter vanishes and
     u(0) = u0.
     """

@@ -1,5 +1,8 @@
 """Half-spectrum DFT diagonalization, circular convolution, and 1-d/2-d deblurring."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from dsmg import (
     solve,
     synthetic_target,
 )
+from dsmg import deconvolution
 from dsmg.deconvolution import _deconvolve, _half_spectrum_weights
 from oracles import circular_convolve
 
@@ -105,6 +109,11 @@ class TestCircularConvolve:
 
 
 class TestDeconvolve1d:
+    def test_empty_signal_rejected(self):
+        # an empty period would reach the FFT as "Invalid number of FFT data points"
+        with pytest.raises(DimensionMismatch, match="kernel has shape"):
+            CirculantProblem([], [], 0.1)
+
     def test_noise_free_recovery(self):
         n = 64
         rng = np.random.default_rng(9)
@@ -221,6 +230,43 @@ class TestDeconvolve2d:
         raw, _ = _deconvolve(psf.pixels, observed.pixels, delta, DiscrepancyRule(C=1.1))
         assert raw.min() < 0.0  # the clip is exercised
         assert restored.pixels.tobytes() == np.clip(raw, 0.0, 1.0).tobytes()
+
+    def test_peak_memory_of_one_call(self):
+        # the live set is the spectrum, the data (also r0 at the zero start) and
+        # a few real or transient arrays; the problem is freed before irfft2
+        size = 256
+        truth, psf = synthetic_target(size, size), gaussian_psf(size, size, 2.0)
+        noisy, _ = add_noise(blur_periodic(truth, psf).pixels.ravel(), NoiseSpec(0.01, 0))
+        observed = GrayImage(noisy.reshape(size, size))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            deconvolve_2d(observed, psf, 0.01, DiscrepancyRule(C=1.3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        half_spectrum = 16 * size * (size // 2 + 1)  # one complex rfft2 array
+        assert peak <= 8 * half_spectrum
+
+    def test_problem_freed_before_inverse_transform(self, monkeypatch):
+        # while irfft2 runs, the solution is the one spectrum-sized array alive
+        alive = []
+        original_solve, original_irfft2 = deconvolution.solve, np.fft.irfft2
+
+        def recording_solve(problem, rule):
+            alive.extend((weakref.ref(problem), weakref.ref(problem.factorization)))
+            return original_solve(problem, rule)
+
+        def checking_irfft2(*args, **kwargs):
+            assert [ref() for ref in alive] == [None, None]
+            return original_irfft2(*args, **kwargs)
+
+        monkeypatch.setattr(deconvolution, "solve", recording_solve)
+        monkeypatch.setattr(np.fft, "irfft2", checking_irfft2)
+        psf = gaussian_psf(16, 16, 1.0)
+        deconvolve_2d(blur_periodic(synthetic_target(16, 16), psf), psf, 0.01, DiscrepancyRule(1.1))
+        assert len(alive) == 2
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -7,9 +7,12 @@ import pytest
 
 from conftest import random_matrix, random_orthogonal
 from dsmg import (
+    CirculantProblem,
     DimensionMismatch,
     DomainError,
     FactorizationFailure,
+    GrayImage,
+    NoisyProblem,
     SpectralFactorization,
     factorize_svd,
     from_diagonal,
@@ -451,3 +454,74 @@ class TestChecksDeterministic:
         after = np.random.get_state()
         assert before[0] == after[0] and before[2:] == after[2:]
         assert np.array_equal(before[1], after[1])
+
+
+def _noisy(f_delta=np.ones(3), u0=None) -> NoisyProblem:
+    return NoisyProblem(from_diagonal([2.0, 1.0, 0.5]), f_delta, 0.1, u0=u0)
+
+
+# every admitted input array: how to admit a value and read back the stored
+# copy, a valid value, and malformed ones (wrong shape, wrong ndim, empty)
+_ONE_D_MALFORMED = (np.ones(4), np.ones((3, 1)), np.ones(0))
+ADMITTED = {
+    "f_delta": (lambda v: _noisy(f_delta=v).f_delta, np.ones(3), _ONE_D_MALFORMED),
+    "u0": (lambda v: _noisy(u0=v).u0, np.ones(3), _ONE_D_MALFORMED),
+    "diag": (
+        lambda v: SpectralFactorization(None, None, v, (3, 3)).diag,
+        np.ones(3),
+        _ONE_D_MALFORMED,
+    ),
+    "u_basis": (
+        lambda v: SpectralFactorization(v, None, np.ones(3), (3, 3)).u_basis,
+        np.eye(3),
+        (np.eye(4), np.eye(3)[:, :2], np.ones(3), np.ones((0, 3))),
+    ),
+    "kernel": (
+        lambda v: CirculantProblem(v, np.ones(3), 0.1).kernel,
+        np.ones(3),
+        # a kernel of another length is reported on the observed signal
+        (np.ones(()), np.ones((3, 1)), np.ones(0)),
+    ),
+    "observed": (
+        lambda v: CirculantProblem(np.ones(3), v, 0.1).observed,
+        np.ones(3),
+        _ONE_D_MALFORMED,
+    ),
+    "pixels": (
+        lambda v: GrayImage(v).pixels,
+        np.ones((3, 3)),
+        (np.ones(9), np.ones((1, 3, 3)), np.ones((0, 3))),
+    ),
+}
+
+
+class TestAdmission:
+    """One rule admits every input array: a frozen, checked copy."""
+
+    @pytest.mark.parametrize("name", ADMITTED)
+    def test_rejects_non_finite(self, name):
+        admit, valid, _ = ADMITTED[name]
+        bad = valid.copy()
+        bad.flat[1] = np.nan
+        with pytest.raises(DomainError, match=f"^{name} contains non-finite entries$"):
+            admit(bad)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [(name, bad) for name, (_, _, malformed) in ADMITTED.items() for bad in malformed],
+        ids=lambda value: str(getattr(value, "shape", value)),
+    )
+    def test_rejects_malformed_shape(self, name, bad):
+        admit = ADMITTED[name][0]
+        with pytest.raises(DimensionMismatch, match=f"^{name} has shape "):
+            admit(bad)
+
+    @pytest.mark.parametrize("name", ADMITTED)
+    def test_stores_a_frozen_copy(self, name):
+        admit, valid, _ = ADMITTED[name]
+        caller = valid.copy()
+        stored = admit(caller)
+        caller.flat[0] = 7.0
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, caller)
+        assert stored.tobytes() == valid.tobytes()

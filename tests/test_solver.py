@@ -145,7 +145,7 @@ class TestDiscrepancy:
         start = rng.normal(size=4)
         problem = NoisyProblem(base.factorization, base.f_delta, base.delta, u0=start)
         recomputed = problem.factorization.u_basis.conj().T @ (
-            apply(problem.factorization, start) - problem.f_delta
+            problem.f_delta - apply(problem.factorization, start)
         )
         assert np.linalg.norm(problem.initial_residual_coefficients - recomputed) <= 1e-12
 
@@ -158,10 +158,10 @@ class TestDiscrepancy:
         started = NoisyProblem(dense.factorization, dense.f_delta, dense.delta, u0=start)
         u_basis, v_basis = dense.factorization.u_basis, dense.factorization.v_basis
         for problem, rhs, residual in (
-            (diagonal, diagonal.f_delta, -diagonal.f_delta),
-            (dense, u_basis.T @ dense.f_delta, -(u_basis.T @ dense.f_delta)),
+            (diagonal, diagonal.f_delta, diagonal.f_delta),
+            (dense, u_basis.T @ dense.f_delta, u_basis.T @ dense.f_delta),
             (started, u_basis.T @ dense.f_delta,
-             dense.factorization.diag * (v_basis.T @ start) - u_basis.T @ dense.f_delta),
+             u_basis.T @ dense.f_delta - dense.factorization.diag * (v_basis.T @ start)),
         ):
             for cached, expected in (
                 (problem.rhs_coefficients, rhs),
@@ -169,6 +169,30 @@ class TestDiscrepancy:
             ):
                 assert not cached.flags.writeable
                 assert cached.tobytes() == expected.tobytes()
+
+    def test_zero_start_residual_is_the_rhs_cache(self):
+        # r0 = U* (f_delta - A u0) is U* f_delta at a zero start: no second array
+        diagonal = NoisyProblem(from_diagonal([2.0, 1.0 + 1.0j, 0.5]), np.array([1.0, -2.0, 3.0]), 0.1)
+        dense = random_problem(8, m=6, n=4)
+        for problem in (diagonal, dense):
+            assert problem.initial_residual_coefficients is problem.rhs_coefficients
+        assert diagonal.initial_residual_coefficients is diagonal.f_delta
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_explicit_zero_start_solves_as_default(self, dtype):
+        default = random_problem(9, m=6, n=4)
+        zero = NoisyProblem(
+            default.factorization, default.f_delta, default.delta, u0=np.zeros(4, dtype=dtype)
+        )
+        assert zero.initial_residual_coefficients is zero.rhs_coefficients
+        for run in (
+            lambda p: solve(p, DiscrepancyRule(1.1)).solution,
+            lambda p: solve(p, AprioriRule()).solution,
+            lambda p: vr_solve(p, 1.1).solution,
+        ):
+            ours, expected = run(zero), run(default)
+            assert ours.dtype == expected.dtype
+            assert ours.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(7, 3), (3, 7)])
