@@ -130,7 +130,8 @@ def _load_rows(path, raw: bytes) -> np.ndarray:
         raise MalformedFile(
             f"{path}: expected {rows} data rows, found {len(lines) - 1}", header_at
         )
-    data = np.empty((rows, cols))
+    # rows join the matrix only once they pass, so the header sizes nothing
+    data = []
     for i, (start, line) in enumerate(lines[1:]):
         fields = line.split()
         if len(fields) != cols:
@@ -138,13 +139,14 @@ def _load_rows(path, raw: bytes) -> np.ndarray:
                 f"{path}: row {i + 1} has {len(fields)} entries, expected {cols}", start
             )
         try:
-            data[i] = [float(f) for f in fields]
+            row = [float(f) for f in fields]
         except ValueError:
-            data[i] = math.nan
+            row = [math.nan]
         # float() also reads nan, inf and digit-group underscores
-        if "_" in line or not np.isfinite(data[i]).all():
+        if "_" in line or not all(map(math.isfinite, row)):
             raise MalformedFile(f"{path}: bad number in row {i + 1}", start)
-    return data
+        data.append(row)
+    return np.array(data)
 
 
 def load_vector(path) -> np.ndarray:

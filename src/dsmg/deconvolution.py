@@ -151,8 +151,7 @@ def blur_periodic(image: GrayImage, psf: GrayImage) -> GrayImage:
 
 def gaussian_psf(height: int, width: int, sigma: float) -> GrayImage:
     """Periodic Gaussian point-spread function centered at pixel (0, 0), sum 1."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    _require_positive(sigma, "sigma")
     rows = np.arange(height)
     cols = np.arange(width)
     dr = np.minimum(rows, height - rows).astype(float)

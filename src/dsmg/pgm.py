@@ -2,54 +2,43 @@
 
 Pixels map linearly to [0, 1] on read; writing quantizes to the nearest of
 256 levels after clamping, so a write/read round trip is exact to 1/255.
-Parse failures report the byte offset of the offending data.
+One compiled pattern scans the header and the P2 raster token by token. No
+size in the header is trusted before the data: each raster array is built
+from the bytes or tokens actually read. Parse failures report the byte
+offset of the offending data.
 """
+
+import re
 
 import numpy as np
 
 from .deconvolution import GrayImage
 from .errors import MalformedFile
 
-_WHITESPACE = b" \t\r\n\v\f"
+# whitespace (in a bytes pattern \s is ASCII " \t\n\r\v\f") and '#' comments,
+# then one token. A comment runs to its newline, so a match never ends inside
+# one; the token group is None only at the end of the data.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)?")
 
 
-class _Tokens:
-    """Header tokenizer that skips comments and tracks byte offsets."""
+def _next_token(tokens, what: str) -> re.Match:
+    match = next(tokens)
+    if match[1] is None:
+        raise MalformedFile(f"unexpected end of file while reading {what}", match.end())
+    return match
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.start = 0  # offset of the last token read
 
-    def _skip_separators(self) -> None:
-        while self.pos < len(self.data):
-            byte = self.data[self.pos:self.pos + 1]
-            if byte in (b"#",):
-                end = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if end < 0 else end + 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def next_token(self, what: str) -> bytes:
-        self._skip_separators()
-        if self.pos >= len(self.data):
-            raise MalformedFile(f"unexpected end of file while reading {what}", self.pos)
-        self.start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos:self.pos + 1] not in _WHITESPACE:
-            self.pos += 1
-        return self.data[self.start:self.pos]
-
-    def next_int(self, what: str) -> int:
-        token = self.next_token(what)
-        # ASCII digits only: int() would also take a sign and digit-group underscores
-        if not token.isdigit():
-            raise MalformedFile(f"invalid {what} {token!r}", self.start)
-        try:
-            return int(token)
-        except ValueError:  # past int()'s limit on the number of digits
-            raise MalformedFile(f"{what} has {len(token)} digits", self.start) from None
+def _next_int(tokens, what: str) -> tuple[int, re.Match]:
+    """The next token as a decimal integer, and its match for the byte offsets."""
+    match = _next_token(tokens, what)
+    token = match[1]
+    # ASCII digits only: int() would also take a sign and digit-group underscores
+    if not token.isdigit():
+        raise MalformedFile(f"invalid {what} {token!r}", match.start(1))
+    try:
+        return int(token), match
+    except ValueError:  # past int()'s limit on the number of digits
+        raise MalformedFile(f"{what} has {len(token)} digits", match.start(1)) from None
 
 
 def read_pgm(path) -> GrayImage:
@@ -59,41 +48,43 @@ def read_pgm(path) -> GrayImage:
             data = handle.read()
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc
-    tokens = _Tokens(data)
-    magic = tokens.next_token("magic number")
+    tokens = _TOKEN.finditer(data)
+    magic = _next_token(tokens, "magic number")[1]
     if magic not in (b"P2", b"P5"):
         raise MalformedFile(f"unsupported magic number {magic!r}", 0)
-    width = tokens.next_int("width")
-    height = tokens.next_int("height")
-    maxval = tokens.next_int("maxval")
+    width, _ = _next_int(tokens, "width")
+    height, _ = _next_int(tokens, "height")
+    maxval, header = _next_int(tokens, "maxval")
+    end = header.end()
     if width < 1 or height < 1:
-        raise MalformedFile(f"invalid dimensions {width} x {height}", tokens.pos)
+        raise MalformedFile(f"invalid dimensions {width} x {height}", end)
     if not 1 <= maxval <= 255:
-        raise MalformedFile(f"maxval {maxval} outside supported range 1..255", tokens.pos)
+        raise MalformedFile(f"maxval {maxval} outside supported range 1..255", end)
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
-        if tokens.pos >= len(data) or data[tokens.pos:tokens.pos + 1] not in _WHITESPACE:
-            raise MalformedFile("missing raster separator", tokens.pos)
-        start = tokens.pos + 1
-        raster = data[start:start + count]
+        if not data[end:end + 1].isspace():
+            raise MalformedFile("missing raster separator", end)
+        start = end + 1
+        raster = np.frombuffer(data[start:start + count], dtype=np.uint8)
         if len(raster) < count:
             raise MalformedFile(
                 f"raster truncated: expected {count} bytes, found {len(raster)}",
                 start + len(raster),
             )
-        values = np.frombuffer(raster, dtype=np.uint8).astype(float)
-        over = np.flatnonzero(values > maxval)
+        over = np.flatnonzero(raster > maxval)
         if len(over):
             raise MalformedFile(f"pixel {over[0]} exceeds maxval {maxval}", start + int(over[0]))
     else:
-        values = np.empty(count)
+        raster = []
         for i in range(count):
-            value = tokens.next_int("pixel value")
+            value, match = _next_int(tokens, "pixel value")
             if value > maxval:
-                raise MalformedFile(f"pixel {i} value {value} exceeds maxval {maxval}", tokens.start)
-            values[i] = value
-    return GrayImage((values / maxval).reshape(height, width))
+                raise MalformedFile(
+                    f"pixel {i} value {value} exceeds maxval {maxval}", match.start(1)
+                )
+            raster.append(value)
+    return GrayImage((np.asarray(raster) / maxval).reshape(height, width))
 
 
 def write_pgm(image: GrayImage, path) -> None:

@@ -172,9 +172,14 @@ def evolution_filter(lam, t: float):
 
 
 def _synthesis(problem: NoisyProblem, gains: np.ndarray) -> np.ndarray:
-    """u = u0 + V (gains * r0), the state of either method; u0 outside span(V) never moves."""
-    step = gains * problem.initial_residual_coefficients
-    return problem.u0 + _left_multiply(problem.factorization.v_basis, step)
+    """u = u0 + V (gains * r0), the state of either method; u0 outside span(V) never moves.
+
+    ``gains`` must be fresh: the step overwrites it when r0's dtype casts to it."""
+    r0 = problem.initial_residual_coefficients
+    step = np.multiply(gains, r0, out=gains) if np.can_cast(r0.dtype, gains.dtype) else gains * r0
+    out = _left_multiply(problem.factorization.v_basis, step)
+    out += problem.u0
+    return out
 
 
 def solution_at(problem: NoisyProblem, t: float) -> np.ndarray:

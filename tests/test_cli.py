@@ -101,6 +101,17 @@ class TestSolveCommand:
         assert code == 2
         assert "MalformedFile" in capsys.readouterr().err
 
+    def test_oversized_header_exits_2_without_allocating(self, tmp_path, capsys):
+        # numpy refuses a 2 x 10**18 array outright, so sizing the matrix from
+        # the header would raise ValueError before any row were checked
+        matrix = write_text(tmp_path / "a.txt", "2 1000000000000000000\n1\n2\n")
+        rhs = write_text(tmp_path / "f.txt", "2 1\n1\n2\n")
+        with pytest.raises(MalformedFile, match="row 1 has 1 entries") as excinfo:
+            load_matrix(matrix)
+        assert excinfo.value.offset == 22
+        assert main(["solve", matrix, rhs, "--delta", "0.01"]) == 2
+        assert "MalformedFile" in capsys.readouterr().err
+
     def test_repr_written_matrix_reads_back_bit_for_bit(self, tmp_path):
         # exact symmetry must survive the text format: it routes a dense
         # solve to the eigh factorization

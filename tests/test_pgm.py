@@ -133,3 +133,21 @@ def test_integer_past_int_digit_limit_reported_at_token_start(tmp_path, content,
     with pytest.raises(MalformedFile) as excinfo:
         read_pgm(path)
     assert excinfo.value.offset == offset
+
+
+def test_empty_file_reported_at_magic_number(tmp_path):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(b"")
+    with pytest.raises(MalformedFile, match="end of file while reading magic number") as excinfo:
+        read_pgm(path)
+    assert excinfo.value.offset == 0
+
+
+def test_oversized_p2_header_reads_only_the_pixels_present(tmp_path):
+    # numpy refuses a 10**18-pixel array outright, so sizing the raster from
+    # the header would raise MemoryError before the missing pixel were found
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P2\n1000000000 1000000000\n255\n1 2 3\n")
+    with pytest.raises(MalformedFile, match="end of file while reading pixel value") as excinfo:
+        read_pgm(path)
+    assert excinfo.value.offset == 35
