@@ -8,8 +8,10 @@ Subcommands:
 
 Matrix and vector files are plain text: first line "m n", then m rows of n
 whitespace-separated finite decimals (vectors are m x 1 or 1 x n). Exit codes:
-0 success, 2 parse or usage error, 3 solver error. Reruns with the same
-arguments reproduce CSV and PGM outputs byte for byte.
+0 success, 2 parse, usage or file-system error (an unwritable --out too),
+3 solver error. Reruns with the same arguments reproduce CSV and PGM outputs
+byte for byte. ``solve`` and ``deblur`` take the same rule options and print
+the same report lines.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,7 +42,7 @@ SOLUTION_CHOICES = {
 
 @dataclass(frozen=True)
 class BenchmarkRow:
-    """One benchmark cell; every row carries enough context to regenerate it."""
+    """One benchmark cell: its seed and noise level, but not the sweep's C or solution."""
 
     N: int
     method: str
@@ -149,48 +151,49 @@ def _load_rows(path, raw: bytes) -> np.ndarray:
     return np.array(data)
 
 
-def load_vector(path) -> np.ndarray:
+def load_vector(path, name: str, length: int, side: str) -> np.ndarray:
+    """Parse a text vector that must match the matrix's ``length`` ``side``."""
     matrix = load_matrix(path)
     if 1 not in matrix.shape:
         raise MalformedFile(f"{path}: expected a vector, got shape {matrix.shape}", 0)
+    if matrix.size != length:
+        raise MalformedFile(
+            f"{name} length {matrix.size} does not match matrix {side} {length}", 0
+        )
     return matrix.ravel()
 
 
 def _make_rule(args):
-    if args.rule == "discrepancy":
-        return DiscrepancyRule(C=args.C if args.C is not None else 1.1)
-    return AprioriRule(C=args.C if args.C is not None else 1.0, gamma=args.gamma)
+    """The chosen rule, given only the constants set on the command line."""
+    rule = DiscrepancyRule if args.rule == "discrepancy" else AprioriRule
+    given = {f.name: getattr(args, f.name) for f in fields(rule)}
+    return rule(**{name: value for name, value in given.items() if value is not None})
 
 
 def _format(value: float) -> str:
     return repr(float(value))
 
 
-def cmd_solve(args) -> int:
-    matrix = load_matrix(args.matrix)
-    rhs = load_vector(args.rhs)
-    if rhs.shape[0] != matrix.shape[0]:
-        raise MalformedFile(
-            f"rhs length {rhs.shape[0]} does not match matrix rows {matrix.shape[0]}", 0
-        )
-    start = None
-    if args.u0 != "zero":
-        start = load_vector(args.u0)
-        if start.shape[0] != matrix.shape[1]:
-            raise MalformedFile(
-                f"u0 length {start.shape[0]} does not match matrix columns {matrix.shape[1]}", 0
-            )
-    rule = _make_rule(args)
-    problem = NoisyProblem(
-        factorization=factorize_svd(matrix), f_delta=rhs, delta=args.delta, u0=start
-    )
-    report = solve(problem, rule)
+def _print_report(report) -> None:
     print(f"t_delta = {_format(report.t_delta)}")
     print(f"newton_iterations = {report.newton_iterations}")
     print(f"residual_norm = {_format(report.residual_norm)}")
     print(f"rule = {report.rule_used}")
     if report.diagnostics:
         print(f"diagnostics = {','.join(report.diagnostics)}")
+
+
+def cmd_solve(args) -> int:
+    matrix = load_matrix(args.matrix)
+    rows, cols = matrix.shape
+    rhs = load_vector(args.rhs, "rhs", rows, "rows")
+    start = None if args.u0 == "zero" else load_vector(args.u0, "u0", cols, "columns")
+    rule = _make_rule(args)
+    problem = NoisyProblem(
+        factorization=factorize_svd(matrix), f_delta=rhs, delta=args.delta, u0=start
+    )
+    report = solve(problem, rule)
+    _print_report(report)
     print("solution:")
     for value in report.solution:
         print(_format(value))
@@ -296,15 +299,22 @@ def cmd_deblur(args) -> int:
     if args.truth is not None:
         err_in, err_out = _truth_errors(args.truth, observed, restored)
     write_pgm(restored, args.out)
-    print(f"t_delta = {_format(report.t_delta)}")
-    print(f"newton_iterations = {report.newton_iterations}")
-    print(f"residual_norm = {_format(report.residual_norm)}")
+    _print_report(report)
     print(f"restored = {args.out}")
     if args.truth is not None:
         print(f"input_relative_error = {_format(err_in)}")
         print(f"restored_relative_error = {_format(err_out)}")
         print(f"improved = {err_out < err_in}")
     return 0
+
+
+def _add_rule_options(parser) -> None:
+    parser.add_argument("--rule", choices=("discrepancy", "apriori"), default="discrepancy")
+    parser.add_argument("--C", type=float, default=None,
+                        help=f"rule constant (default {DiscrepancyRule.C} discrepancy, "
+                             f"{AprioriRule.C} apriori)")
+    parser.add_argument("--gamma", type=float, default=None,
+                        help=f"a priori exponent (default {AprioriRule.gamma})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,10 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("matrix", help="text matrix file ('m n' header)")
     p_solve.add_argument("rhs", help="text vector file with the noisy right-hand side")
     p_solve.add_argument("--delta", type=float, required=True, help="noise bound")
-    p_solve.add_argument("--rule", choices=("discrepancy", "apriori"), default="discrepancy")
-    p_solve.add_argument("--C", type=float, default=None,
-                         help="rule constant (default 1.1 discrepancy, 1.0 apriori)")
-    p_solve.add_argument("--gamma", type=float, default=0.5, help="a priori exponent")
+    _add_rule_options(p_solve)
     p_solve.add_argument("--u0", default="zero", help="'zero' or a vector file")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -342,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "normalized to unit sum on load")
     p_deblur.add_argument("--delta-rel", dest="delta_rel", type=float, required=True)
     p_deblur.add_argument("--out", required=True, help="output PGM path")
-    p_deblur.add_argument("--rule", choices=("discrepancy", "apriori"), default="discrepancy")
-    p_deblur.add_argument("--C", type=float, default=None)
-    p_deblur.add_argument("--gamma", type=float, default=0.5)
+    _add_rule_options(p_deblur)
     p_deblur.add_argument("--truth", default=None, help="ground-truth PGM for error report")
     p_deblur.set_defaults(func=cmd_deblur)
     return parser
@@ -355,7 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MalformedFile as exc:
+    except (MalformedFile, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except DsmgError as exc:

@@ -161,11 +161,10 @@ def evolution_filter(lam, t: float):
         raise DomainError("eigenvalues must be nonnegative")
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t={t} must be nonnegative and finite")
-    positive = lam_arr > 0
-    safe = np.where(positive, lam_arr, 1.0)
-    gains = np.where(positive, -np.expm1(-t * safe) / safe, t)
+    gains = np.full(lam_arr.shape, t, dtype=float)
+    np.divide(-np.expm1(-t * lam_arr), lam_arr, out=gains, where=lam_arr > 0)
     # subnormal t*lam can round the quotient above the exact bound t
-    gains = np.minimum(gains, t)
+    np.minimum(gains, t, out=gains)
     if np.isscalar(lam) or lam_arr.ndim == 0:
         return float(gains)
     return gains
@@ -308,30 +307,25 @@ def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
     on a single mode the first step is exact. If the start point already
     satisfies ||A u0 - f_delta|| <= C * delta, the report returns u0 at
     t = 0 with a diagnostic flag.
-    A priori branch: t = C / delta**gamma with no residual evaluations.
+    A priori branch: t = C / delta**gamma with no search; psi(t) is
+    evaluated once for the report.
     """
     if isinstance(rule, AprioriRule):
         t_stop = rule.C / problem.delta ** rule.gamma
-        state = solution_at(problem, t_stop)
-        return SolveReport(
-            t_delta=t_stop,
-            solution=state,
-            residual_norm=discrepancy(problem, t_stop),
-            newton_iterations=0,
-            rule_used=rule,
+        psi, iterations, at_start = discrepancy(problem, t_stop), 0, False
+    elif isinstance(rule, DiscrepancyRule):
+        target = rule.C * problem.delta
+        t_stop, iterations, _, psi = _newton_on_log_psi(
+            lambda t: _residual_pass(problem, t), target, problem.residual_floor
         )
-    if not isinstance(rule, DiscrepancyRule):
+        at_start = iterations == 0 and psi <= target
+    else:
         raise DomainError(f"unknown stopping rule {rule!r}")
-    target = rule.C * problem.delta
-    newton = _newton_on_log_psi(
-        lambda t: _residual_pass(problem, t), target, problem.residual_floor
-    )
-    at_start = newton.iterations == 0 and newton.residual_norm <= target
     return SolveReport(
-        t_delta=newton.t_delta,
-        solution=solution_at(problem, newton.t_delta),
-        residual_norm=newton.residual_norm,
-        newton_iterations=newton.iterations,
+        t_delta=t_stop,
+        solution=solution_at(problem, t_stop),
+        residual_norm=psi,
+        newton_iterations=iterations,
         rule_used=rule,
         diagnostics=(FLAG_DISCREPANCY_AT_START,) if at_start else (),
     )

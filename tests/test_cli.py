@@ -69,7 +69,11 @@ class TestSolveCommand:
         rhs = write_text(tmp_path / "f.txt", "3 1\n1\n2\n3\n")
         code = main(["solve", matrix, rhs, "--delta", "0.01"])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert "rhs length 3 does not match matrix rows 2" in capsys.readouterr().err
+        good_rhs = write_text(tmp_path / "g.txt", "2 1\n1\n2\n")
+        code = main(["solve", matrix, good_rhs, "--delta", "0.01", "--u0", rhs])
+        assert code == 2
+        assert "u0 length 3 does not match matrix columns 2" in capsys.readouterr().err
 
     def test_garbled_matrix_exits_2(self, tmp_path, capsys):
         matrix = write_text(tmp_path / "a.txt", "2 2\n1 0\nnope 1\n")
@@ -289,6 +293,8 @@ class TestDeblur:
         out = capsys.readouterr().out
         assert code == 0
         values = parse_report(out)
+        assert values["rule"] == "DiscrepancyRule(C=1.1)"
+        assert "diagnostics" not in values
         assert values["improved"] == "True"
         assert float(values["restored_relative_error"]) < float(values["input_relative_error"])
         assert int(values["newton_iterations"]) <= 10
@@ -313,6 +319,32 @@ class TestDeblur:
         assert "MalformedFile" in captured.err
         assert captured.out == ""
         assert not paths[3].exists()
+
+    def test_start_meeting_target_flagged(self, deblur_files, capsys):
+        # delta_rel 0.95 puts C * delta above the residual of the zero start
+        code = main(
+            ["deblur", str(deblur_files["observed"]), str(deblur_files["psf"]),
+             "--delta-rel", "0.95", "--C", "1.1", "--out", str(deblur_files["out"])]
+        )
+        values = parse_report(capsys.readouterr().out)
+        assert code == 0
+        assert values["t_delta"] == "0.0"
+        assert values["newton_iterations"] == "0"
+        assert values["rule"] == "DiscrepancyRule(C=1.1)"
+        assert values["diagnostics"] == "discrepancy_already_satisfied_at_t0"
+
+    def test_unwritable_out_exits_2(self, deblur_files, capsys):
+        out = deblur_files["out"].parent / "missing" / "restored.pgm"
+        code = main(
+            ["deblur", str(deblur_files["observed"]), str(deblur_files["psf"]),
+             "--delta-rel", "0.01", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: FileNotFoundError: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_psf_exits_2(self, deblur_files, capsys):
         code = main(

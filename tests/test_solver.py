@@ -465,6 +465,16 @@ class TestSolve:
         report = solve(problem, AprioriRule(C=1.0, gamma=0.5))
         assert abs(report.t_delta - 10.0) < 1e-12
         assert report.newton_iterations == 0
+        # exactly C / delta**gamma and its residual, with no flag even where
+        # the start already meets C * delta
+        for problem in (random_problem(45, m=6, n=4), scalar_problem(f=0.001, delta=0.01)):
+            rule = AprioriRule(C=0.7, gamma=0.3)
+            report = solve(problem, rule)
+            assert report.t_delta == 0.7 / problem.delta ** 0.3
+            assert report.residual_norm == discrepancy(problem, report.t_delta)
+            assert report.newton_iterations == 0
+            assert report.diagnostics == ()
+            assert report.rule_used == rule
 
     def test_degenerate_start_flagged(self):
         problem = scalar_problem(f=0.001, delta=0.01)
