@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionViolated
-from .solver import NoisyProblem, _newton_on_log_psi, _norm_and_slope, _synthesis
+from .linalg import _require_positive
+from .solver import DiscrepancyRule, NoisyProblem, _newton_on_log_psi, _norm_and_slope, _synthesis
 
 
 @dataclass(frozen=True)
@@ -43,25 +44,24 @@ def _vr_residual(problem: NoisyProblem, beta: float) -> tuple[float, float]:
 
 def tikhonov_solution(problem: NoisyProblem, alpha: float) -> np.ndarray:
     """u_alpha = u0 + (A*A + alpha I)^-1 A* (f_delta - A u0): it regularizes toward u0."""
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha={alpha} must be positive and finite")
+    _require_positive(alpha, "alpha")
     fact = problem.factorization
     return _synthesis(problem, fact.diag.conj() / (fact.eigenvalues + alpha))
 
 
-def vr_solve(problem: NoisyProblem, C: float) -> VRReport:
+def vr_solve(problem: NoisyProblem, rule: DiscrepancyRule) -> VRReport:
     """Pick alpha so the Tikhonov residual equals C * delta, then solve.
 
-    Tikhonov regularizes toward the start point u0 of the problem, as the
-    flow starts from it. Raises UnattainableDiscrepancy when even alpha -> 0
-    cannot push the residual below the target, and PreconditionViolated when
+    ``rule`` is the flow's own DiscrepancyRule, so both methods stop by one
+    admitted C; any other rule raises DomainError. Tikhonov regularizes
+    toward the start point u0 of the problem, as the flow starts from it.
+    Raises UnattainableDiscrepancy when even alpha -> 0 cannot push the
+    residual below the target, and PreconditionViolated when
     ||A u0 - f_delta|| is at, below or within the search tolerance of it.
     """
-    if not (np.isfinite(C) and C > 0):
-        raise DomainError(f"C={C} must be positive and finite")
-    search = _newton_on_log_psi(
-        lambda beta: _vr_residual(problem, beta), C * problem.delta, problem.residual_floor
-    )
+    if not isinstance(rule, DiscrepancyRule):
+        raise DomainError(f"Tikhonov stops only by a DiscrepancyRule, not {rule!r}")
+    search = _newton_on_log_psi(problem, _vr_residual, rule.C * problem.delta)
     # the search stops at beta = 0 when ||A u0 - f_delta|| is at, below or
     # within its tolerance of the target
     if search.t_delta == 0.0:

@@ -11,7 +11,8 @@ whitespace-separated finite decimals (vectors are m x 1 or 1 x n). Exit codes:
 0 success, 2 parse, usage or file-system error (an unwritable --out too),
 3 solver error. Reruns with the same arguments reproduce CSV and PGM outputs
 byte for byte. ``solve`` and ``deblur`` take the same rule options and print
-the same report lines.
+the same report lines. Every subcommand builds its stopping rule before it
+reads a file or runs a benchmark cell, so a bad rule constant exits 3 first.
 """
 
 import argparse
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .baselines import vr_solve
 from .deconvolution import GrayImage, deconvolve_2d
-from .errors import DsmgError, MalformedFile
+from .errors import DsmgError, MalformedFile, _read_bytes
 from .linalg import factorize_svd
 from .pgm import read_pgm, write_pgm
 from .problems import NoiseSpec, add_noise, second_derivative_problem
@@ -70,11 +71,7 @@ _BLANKS = re.compile(rb"\s*")
 
 def load_matrix(path) -> np.ndarray:
     """Parse the text matrix format; raises MalformedFile on any defect."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc
+    raw = _read_bytes(path)
     data = _load_bulk(raw)
     return data if data is not None else _load_rows(path, raw)
 
@@ -183,12 +180,11 @@ def _print_report(report) -> None:
         print(f"diagnostics = {','.join(report.diagnostics)}")
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, rule) -> int:
     matrix = load_matrix(args.matrix)
     rows, cols = matrix.shape
     rhs = load_vector(args.rhs, "rhs", rows, "rows")
     start = None if args.u0 == "zero" else load_vector(args.u0, "u0", cols, "columns")
-    rule = _make_rule(args)
     problem = NoisyProblem(
         factorization=factorize_svd(matrix), f_delta=rhs, delta=args.delta, u0=start
     )
@@ -200,39 +196,33 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _bench_cell(problem, fact, delta_rel, seed, C):
-    """Run both methods on one noise realization; returns two rows."""
+def _bench_cell(problem, fact, delta_rel, seed, rule):
+    """Run both methods, stopped by one discrepancy ``rule``, on one noise realization."""
     noisy_rhs, delta_abs = add_noise(problem.exact_rhs, NoiseSpec(delta_rel, seed))
     noisy = NoisyProblem(factorization=fact, f_delta=noisy_rhs, delta=delta_abs)
     truth = problem.exact_solution
     truth_norm = float(np.linalg.norm(truth))
     n = len(truth)
     rows = []
-    for method in ("dsmg", "vr"):
+    for method, run, parameter in (("dsmg", solve, "t_delta"), ("vr", vr_solve, "alpha")):
         try:
-            if method == "dsmg":
-                report = solve(noisy, DiscrepancyRule(C=C))
-                param = report.t_delta
-            else:
-                report = vr_solve(noisy, C)
-                param = report.alpha
+            report = run(noisy, rule)
             error = float(np.linalg.norm(report.solution - truth)) / truth_norm
-            rows.append(
-                BenchmarkRow(n, method, report.newton_iterations, error, param, seed, delta_rel)
-            )
+            result = (report.newton_iterations, error, getattr(report, parameter))
         except DsmgError:
-            rows.append(BenchmarkRow(n, method, -1, float("nan"), float("nan"), seed, delta_rel))
+            result = (-1, math.nan, math.nan)
+        rows.append(BenchmarkRow(n, method, *result, seed, delta_rel))
     return rows
 
 
-def run_derivative_bench(n_values, u_choice, delta_rel, seeds, C):
+def run_derivative_bench(n_values, u_choice, delta_rel, seeds, rule):
     """Benchmark sweep; rows come back sorted by (N, method, seed)."""
     u_fn = SOLUTION_CHOICES[u_choice]
     rows = []
     for n in n_values:
         problem = second_derivative_problem(n, u_fn)
         for seed in seeds:
-            rows.extend(_bench_cell(problem, problem.factorization, delta_rel, seed, C))
+            rows.extend(_bench_cell(problem, problem.factorization, delta_rel, seed, rule))
     rows.sort(key=lambda r: (r.N, r.method, r.seed))
     return rows
 
@@ -254,13 +244,13 @@ def _parse_int_list(text: str):
     return [_ascii_int(part.strip()) for part in text.split(",")]
 
 
-def cmd_derivative_bench(args) -> int:
+def cmd_derivative_bench(args, rule) -> int:
     try:
         n_values = _parse_int_list(args.N)
         seeds = _parse_int_list(args.seeds)
     except ValueError as exc:
         raise MalformedFile(f"bad integer list: {exc}", 0) from None
-    rows = run_derivative_bench(n_values, args.u, args.delta_rel, seeds, args.C)
+    rows = run_derivative_bench(n_values, args.u, args.delta_rel, seeds, rule)
     sys.stdout.write(rows_to_csv(rows))
     if any(row.iterations < 0 for row in rows):
         print("error: one or more benchmark cells failed (iterations=-1)", file=sys.stderr)
@@ -284,7 +274,7 @@ def _truth_errors(path, observed, restored):
     return err_in, err_out
 
 
-def cmd_deblur(args) -> int:
+def cmd_deblur(args, rule) -> int:
     observed = read_pgm(args.image)
     psf = read_pgm(args.psf)
     # 8-bit quantization destroys the kernel's absolute scale; restore unit mass
@@ -292,7 +282,6 @@ def cmd_deblur(args) -> int:
     if mass <= 0:
         raise MalformedFile(f"{args.psf}: point-spread function is identically zero", 0)
     psf = GrayImage(psf.pixels / mass)
-    rule = _make_rule(args)
     restored, report = deconvolve_2d(observed, psf, args.delta_rel, rule)
     # the truth is read only now, so its pixels are not alive through the solve,
     # and before the write, so a bad truth leaves no output file
@@ -314,7 +303,7 @@ def _add_rule_options(parser) -> None:
                         help=f"rule constant (default {DiscrepancyRule.C} discrepancy, "
                              f"{AprioriRule.C} apriori)")
     parser.add_argument("--gamma", type=float, default=None,
-                        help=f"a priori exponent (default {AprioriRule.gamma})")
+                        help=f"exponent of --rule apriori (default {AprioriRule.gamma})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--delta-rel", dest="delta_rel", type=float, default=0.01)
     p_bench.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9",
                          help="comma-separated seeds; empty for header-only output")
-    p_bench.add_argument("--C", type=float, default=1.1)
-    p_bench.set_defaults(func=cmd_derivative_bench)
+    p_bench.add_argument("--C", type=float, default=None,
+                         help=f"discrepancy constant of both methods (default {DiscrepancyRule.C})")
+    p_bench.set_defaults(func=cmd_derivative_bench, rule="discrepancy")
 
     p_deblur = sub.add_parser("deblur", help="deblur a PGM image")
     p_deblur.add_argument("image", help="observed (blurred, noisy) PGM image")
@@ -358,8 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "gamma", None) is not None and args.rule != "apriori":
+        parser.error("--gamma applies only to --rule apriori")
     try:
-        return args.func(args)
+        return args.func(args, _make_rule(args))
     except (MalformedFile, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

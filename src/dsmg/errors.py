@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all dsmg modules."""
+"""Exception hierarchy shared by all dsmg modules, and the file read of both parsers."""
 
 
 class DsmgError(Exception):
@@ -41,3 +41,12 @@ class MalformedFile(DsmgError):
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def _read_bytes(path) -> bytes:
+    """The whole file; one that cannot be read is a MalformedFile at offset 0."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc

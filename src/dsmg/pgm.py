@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from .deconvolution import GrayImage
-from .errors import MalformedFile
+from .errors import MalformedFile, _read_bytes
 
 # whitespace (in a bytes pattern \s is ASCII " \t\n\r\v\f") and '#' comments,
 # then one token. A comment runs to its newline, so a match never ends inside
@@ -43,11 +43,7 @@ def _next_int(tokens, what: str) -> tuple[int, re.Match]:
 
 def read_pgm(path) -> GrayImage:
     """Read a P2 or P5 PGM file into a GrayImage with values in [0, 1]."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc
+    data = _read_bytes(path)
     tokens = _TOKEN.finditer(data)
     magic = _next_token(tokens, "magic number")[1]
     if magic not in (b"P2", b"P5"):

@@ -59,7 +59,6 @@ class TestProblem:
     matrix: np.ndarray
     exact_solution: np.ndarray
     exact_rhs: np.ndarray
-    label: str
 
     @cached_property
     def factorization(self) -> SpectralFactorization:
@@ -111,7 +110,7 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
     exact_rhs = matrix @ exact_solution
     for fresh in (matrix, exact_solution, exact_rhs):
         fresh.setflags(write=False)
-    return TestProblem(matrix, exact_solution, exact_rhs, label=f"second-derivative N={N}")
+    return TestProblem(matrix, exact_solution, exact_rhs)
 
 
 @dataclass(frozen=True, eq=False)

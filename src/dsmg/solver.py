@@ -54,8 +54,7 @@ class AprioriRule:
     gamma: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.C < math.inf:
-            raise DomainError(f"a priori constant C={self.C} must be positive and finite")
+        _require_positive(self.C, "a priori constant C")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"a priori exponent gamma={self.gamma} must lie in (0, 1)")
 
@@ -241,25 +240,27 @@ def discrepancy(problem: NoisyProblem, t: float) -> float:
     return _residual_pass(problem, t)[0]
 
 
-def _newton_on_log_psi(residual_pass, target: float, floor: float) -> NewtonResult:
+def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target: float) -> NewtonResult:
     """Solve psi(t) = target for t > 0 by Newton's method on log psi from t = 0.
 
     t is the flow time for the gradient flow and beta = 1 / alpha for
-    Tikhonov. ``residual_pass(t)`` returns psi(t) and psi'(t) from one pass over the
-    spectrum, and ``floor`` is inf psi. log psi must be convex and
-    decreasing in t: then every Newton step from a point left of the root
-    stays left of it, so the iterates rise monotonically. A step that
-    rounding carries materially past the root is replaced by bisection
-    between the last point above the target and the overshooting one.
+    Tikhonov. ``residual_pass(problem, t)`` returns psi(t) and psi'(t) from
+    one pass over the spectrum, and inf psi is ``problem.residual_floor``.
+    log psi must be convex and decreasing in t: then every Newton step from
+    a point left of the root stays left of it, so the iterates rise
+    monotonically. A step that rounding carries materially past the root is
+    replaced by bisection between the last point above the target and the
+    overshooting one.
     Returns the root, the iteration count, the rising trace of points above
     the target ending at the root, and psi at the root. If psi(0) already
     meets the target, the result is t = 0 after that one pass, with no
     iterations; this is the one place that decides it.
     """
     t = 0.0
-    psi, dpsi = residual_pass(t)
+    psi, dpsi = residual_pass(problem, t)
     if psi <= target:
         return NewtonResult(t, 0, (t,), psi)
+    floor = problem.residual_floor
     if floor >= target:
         raise UnattainableDiscrepancy(
             f"residual floor {floor:.6e} >= C*delta = {target:.6e}; "
@@ -292,7 +293,7 @@ def _newton_on_log_psi(residual_pass, target: float, floor: float) -> NewtonResu
             raise IterationBudgetExceeded(f"Newton step from t={lower:.6e} made no progress")
         if t >= upper:
             t = 0.5 * (lower + upper)
-        psi, dpsi = residual_pass(t)
+        psi, dpsi = residual_pass(problem, t)
     iterates.append(t)
     return NewtonResult(t, iterations, tuple(iterates), psi)
 
@@ -315,9 +316,7 @@ def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
         psi, iterations, at_start = discrepancy(problem, t_stop), 0, False
     elif isinstance(rule, DiscrepancyRule):
         target = rule.C * problem.delta
-        t_stop, iterations, _, psi = _newton_on_log_psi(
-            lambda t: _residual_pass(problem, t), target, problem.residual_floor
-        )
+        t_stop, iterations, _, psi = _newton_on_log_psi(problem, _residual_pass, target)
         at_start = iterations == 0 and psi <= target
     else:
         raise DomainError(f"unknown stopping rule {rule!r}")

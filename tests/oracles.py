@@ -15,6 +15,8 @@ between the two is evidence.
   place of the closed-form factorization.
 - ``dst2_basis``: the dense DST-II basis that the closed-form factorization
   applies by FFT.
+- ``source_condition_problem``: a diagonal operator and an exact solution of
+  known smoothness, for measuring convergence rates.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from dsmg import (
     NoisyProblem,
     SpectralFactorization,
     factorize_svd,
+    from_diagonal,
     second_derivative_problem,
 )
 from dsmg import cli, solver
@@ -148,9 +151,7 @@ def newton_solve_t(problem: NoisyProblem, C: float) -> solver.NewtonResult:
     Both private names are looked up on ``solver`` at call time, so a test
     that monkeypatches ``solver._residual_pass`` reaches this search too.
     """
-    return solver._newton_on_log_psi(
-        lambda t: solver._residual_pass(problem, t), C * problem.delta, problem.residual_floor
-    )
+    return solver._newton_on_log_psi(problem, solver._residual_pass, C * problem.delta)
 
 
 def dst2_basis(N: int) -> np.ndarray:
@@ -172,7 +173,7 @@ def dst2_basis(N: int) -> np.ndarray:
     return v
 
 
-def eigh_derivative_bench(n_values, u_choice, delta_rel, seeds, C) -> list:
+def eigh_derivative_bench(n_values, u_choice, delta_rel, seeds, rule) -> list:
     """``cli.run_derivative_bench`` with each matrix factored by ``factorize_svd`` (eigh)."""
     u_fn = cli.SOLUTION_CHOICES[u_choice]
     rows = []
@@ -180,6 +181,18 @@ def eigh_derivative_bench(n_values, u_choice, delta_rel, seeds, C) -> list:
         problem = second_derivative_problem(n, u_fn)
         fact = factorize_svd(problem.matrix)
         for seed in seeds:
-            rows.extend(cli._bench_cell(problem, fact, delta_rel, seed, C))
+            rows.extend(cli._bench_cell(problem, fact, delta_rel, seed, rule))
     rows.sort(key=lambda r: (r.N, r.method, r.seed))
     return rows
+
+
+def source_condition_problem(nu: float, n: int = 4000, seed: int = 0):
+    """A = diag(1/i), i = 1..n, and y = (A*A)^nu w, with w_i = g_i / i.
+
+    g is standard normal from ``default_rng(seed)``, so w has finite norm and
+    y meets the source condition of order nu. Returns the factorization of A,
+    y and the exact data f = A y.
+    """
+    s = 1.0 / np.arange(1, n + 1)
+    y = s ** (2.0 * nu) * (np.random.default_rng(seed).standard_normal(n) * s)
+    return from_diagonal(s), y, s * y

@@ -29,12 +29,13 @@ from dsmg import (
     solution_at,
     solve,
     synthetic_target,
+    vr_solve,
     write_pgm,
 )
 from dsmg import solver
 from dsmg.cli import rows_to_csv, run_derivative_bench
 from dsmg.deconvolution import CirculantProblem
-from oracles import circular_convolve, landweber_integrate, newton_solve_t
+from oracles import circular_convolve, landweber_integrate, newton_solve_t, source_condition_problem
 
 
 class _Criterion:
@@ -168,7 +169,7 @@ BENCH_SEEDS = tuple(range(10))
 
 def test_criterion_05_benchmark_trend():
     with _Criterion(5, "second-derivative benchmark trend"):
-        rows = run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, 1.1)
+        rows = run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, DiscrepancyRule(1.1))
         by_cell = {}
         for row in rows:
             by_cell.setdefault((row.N, row.method), []).append(row)
@@ -254,10 +255,10 @@ def test_criterion_09_image_experiment():
 def test_criterion_10_determinism(tmp_path):
     with _Criterion(10, "byte-identical reruns of CSV and PGM outputs"):
         first_csv = rows_to_csv(
-            run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, 1.1)
+            run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, DiscrepancyRule(1.1))
         )
         second_csv = rows_to_csv(
-            run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, 1.1)
+            run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, DiscrepancyRule(1.1))
         )
         assert first_csv.encode() == second_csv.encode()
         paths = []
@@ -267,3 +268,31 @@ def test_criterion_10_determinism(tmp_path):
             write_pgm(restored, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+RATE_NOISE_LEVELS = np.logspace(-2, -8, 13)
+RATE_RULE = DiscrepancyRule(1.1)
+
+
+def _error_slopes(nu):
+    """Log-log slopes of ||u_delta - y|| against delta, for the flow and for Tikhonov."""
+    fact, exact, data = source_condition_problem(nu)
+    errors = {solve: [], vr_solve: []}
+    for k, level in enumerate(RATE_NOISE_LEVELS):
+        noisy = NoisyProblem(fact, *add_noise(data, NoiseSpec(level, k)))
+        for method, trace in errors.items():
+            trace.append(np.linalg.norm(method(noisy, RATE_RULE).solution - exact))
+    return [np.polyfit(np.log(RATE_NOISE_LEVELS), np.log(errors[m]), 1)[0] for m in errors]
+
+
+def test_criterion_11_convergence_rates():
+    # Bounds from theory, fixed before the first run. Under y = (A*A)^nu w the
+    # discrepancy-stopped flow converges at the order-optimal delta^(2 nu / (2 nu + 1))
+    # for every nu; discrepancy-stopped Tikhonov saturates at delta^(1/2).
+    with _Criterion(11, "convergence rates under a source condition"):
+        for nu in (0.5, 1.0, 2.0):
+            flow, tikhonov = _error_slopes(nu)
+            print(f"nu={nu}: flow slope {flow:.3f}, Tikhonov slope {tikhonov:.3f}")
+            assert flow >= 0.9 * 2.0 * nu / (2.0 * nu + 1.0)
+            if nu >= 1.0:
+                assert tikhonov <= 0.55

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import random_matrix, random_problem
 from dsmg import (
+    AprioriRule,
     DiscrepancyRule,
+    DomainError,
     NoiseSpec,
     NoisyProblem,
     PreconditionViolated,
@@ -28,7 +30,7 @@ from oracles import apply, minimal_norm_solution
 def test_scalar_alpha_closed_form():
     # alpha / (1 + alpha) = C * delta  =>  alpha = 0.015 / 0.985
     problem = NoisyProblem(from_diagonal([1.0]), np.array([1.0]), delta=0.01)
-    report = vr_solve(problem, 1.5)
+    report = vr_solve(problem, DiscrepancyRule(1.5))
     expected = 0.015 / 0.985
     assert abs(report.alpha - expected) <= 1e-6 * expected
     assert abs(report.residual_norm - 0.015) <= 1e-8 * 0.015
@@ -40,7 +42,7 @@ def test_off_range_data_above_target_unattainable():
     problem = NoisyProblem(factorize_svd([[1.0], [0.0], [0.0]]), np.array([1.0, 1.0, 0.0]), delta=0.1)
     assert problem.residual_floor == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(UnattainableDiscrepancy):
-        vr_solve(problem, 1.5)
+        vr_solve(problem, DiscrepancyRule(1.5))
     with pytest.raises(UnattainableDiscrepancy):
         solve(problem, DiscrepancyRule(C=1.5))
 
@@ -62,7 +64,7 @@ def test_residual_hits_target_on_random_problems():
         for seed in range(10):
             problem = random_problem(seed + 500, m, n, sing_lo=0.01, sing_hi=2.0)
             C = 1.2
-            report = vr_solve(problem, C)
+            report = vr_solve(problem, DiscrepancyRule(C))
             target = C * problem.delta
             assert abs(report.residual_norm - target) <= 1e-8 * target
             direct = np.linalg.norm(apply(problem.factorization, report.solution) - problem.f_delta)
@@ -106,7 +108,7 @@ def test_alpha_matches_bisection_oracle(monkeypatch):
             else:
                 lo = mid
         oracle = math.sqrt(lo * hi)
-        report = vr_solve(problem, C)
+        report = vr_solve(problem, DiscrepancyRule(C))
         assert abs(report.alpha - oracle) <= 1e-6 * oracle
         assert np.all(np.diff(searches[-1].iterates) >= 0)
 
@@ -121,7 +123,7 @@ def test_one_pass_per_iteration(monkeypatch):
         return original(p, beta)
 
     monkeypatch.setattr(baselines, "_vr_residual", counted)
-    report = vr_solve(problem, 1.1)
+    report = vr_solve(problem, DiscrepancyRule(1.1))
     assert len(calls) == report.newton_iterations + 1
 
 
@@ -129,7 +131,7 @@ def test_solution_norm_below_pseudo_inverse():
     for seed in range(5):
         problem = random_problem(seed + 600, m=5, n=5, sing_lo=0.05, sing_hi=1.5)
         pinv = minimal_norm_solution(problem.factorization, problem.f_delta)
-        report = vr_solve(problem, 1.3)
+        report = vr_solve(problem, DiscrepancyRule(1.3))
         assert np.linalg.norm(report.solution) <= np.linalg.norm(pinv) * (1 + 1e-12)
 
 
@@ -138,7 +140,7 @@ def test_second_derivative_error_band():
     problem = second_derivative_problem(100, lambda t: np.sin(2.0 * np.pi * t))
     noisy_rhs, delta = add_noise(problem.exact_rhs, NoiseSpec(0.01, 0))
     noisy = NoisyProblem(factorize_svd(problem.matrix), noisy_rhs, delta)
-    report = vr_solve(noisy, 1.1)
+    report = vr_solve(noisy, DiscrepancyRule(1.1))
     error = np.linalg.norm(report.solution - problem.exact_solution)
     error /= np.linalg.norm(problem.exact_solution)
     assert 0.005 <= error <= 0.33
@@ -148,28 +150,47 @@ def test_unattainable_when_data_outside_range():
     fact = from_diagonal([1.0, 0.0])
     problem = NoisyProblem(fact, np.array([0.0, 1.0]), delta=0.01)
     with pytest.raises(UnattainableDiscrepancy):
-        vr_solve(problem, 1.5)
+        vr_solve(problem, DiscrepancyRule(1.5))
 
 
 def test_precondition_violated_when_target_above_data_norm():
     problem = NoisyProblem(from_diagonal([1.0]), np.array([1.0]), delta=0.9)
     with pytest.raises(PreconditionViolated):
-        vr_solve(problem, 1.5)  # C*delta = 1.35 > ||f|| = 1
+        vr_solve(problem, DiscrepancyRule(1.5))  # C*delta = 1.35 > ||f|| = 1
 
 
 def test_precondition_violated_when_target_within_tolerance_of_data_norm():
     # ||f|| exceeds C*delta by less than the 1e-8 stop tolerance, so the
     # search accepts beta = 0 and only alpha -> inf would fit
-    problem = NoisyProblem(from_diagonal([1.0]), np.array([1.0]), delta=1.0 - 5e-9)
+    problem = NoisyProblem(from_diagonal([1.0]), np.array([1.0]), delta=(1.0 - 5e-9) / 1.5)
     with pytest.raises(PreconditionViolated):
-        vr_solve(problem, 1.0)
+        vr_solve(problem, DiscrepancyRule(1.5))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [AprioriRule(), AprioriRule(C=1.5), 1.5, None],
+    ids=["apriori", "apriori-C", "float", "none"],
+)
+def test_only_a_discrepancy_rule_stops_tikhonov(rule):
+    # an AprioriRule has a C too; Tikhonov must not take it for a discrepancy constant
+    problem = random_problem(98, m=4, n=4, sing_lo=0.05, sing_hi=1.5)
+    with pytest.raises(DomainError, match="only by a DiscrepancyRule"):
+        vr_solve(problem, rule)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_tikhonov_solution_rejects_alpha(alpha):
+    problem = random_problem(97, m=3, n=3)
+    with pytest.raises(DomainError, match=f"^alpha={alpha} must be positive and finite$"):
+        tikhonov_solution(problem, alpha)
 
 
 def test_same_contract_shape_as_gradient_solver():
     # both methods stop at the same residual level on the same data
     problem = random_problem(99, m=6, n=6, sing_lo=0.02, sing_hi=2.0)
     C = 1.4
-    vr_report = vr_solve(problem, C)
+    vr_report = vr_solve(problem, DiscrepancyRule(C))
     flow_report = solve(problem, DiscrepancyRule(C=C))
     target = C * problem.delta
     assert abs(vr_report.residual_norm - target) <= 1e-8 * target
@@ -198,7 +219,7 @@ def test_regularizes_toward_start_point(shape):
             oracle = generalized_tikhonov(matrix, f, start, alpha)
             got = tikhonov_solution(problem, alpha)
             assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
-        report = vr_solve(problem, 1.2)
+        report = vr_solve(problem, DiscrepancyRule(1.2))
         target = 1.2 * problem.delta
         assert abs(report.residual_norm - target) <= 1e-8 * target
         oracle = generalized_tikhonov(matrix, f, start, report.alpha)
@@ -214,7 +235,7 @@ def test_start_point_leaves_floor_unchanged():
     started = NoisyProblem(fact, f, delta=0.01, u0=np.array([4.0, 5.0, 6.0]))
     assert started.residual_floor == NoisyProblem(fact, f, delta=0.01).residual_floor == 2.0
     with pytest.raises(UnattainableDiscrepancy):
-        vr_solve(started, 1.5)
+        vr_solve(started, DiscrepancyRule(1.5))
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
@@ -229,6 +250,6 @@ def test_residual_weights_are_one_frozen_cache(shape):
         assert not weights.flags.writeable
         assert weights.tobytes() == np.abs(problem.initial_residual_coefficients).tobytes()
         solve(problem, DiscrepancyRule(C=1.1))
-        vr_solve(problem, 1.1)
+        vr_solve(problem, DiscrepancyRule(1.1))
         assert problem.residual_weights is weights
 

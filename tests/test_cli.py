@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dsmg import (
+    DiscrepancyRule,
     GrayImage,
     MalformedFile,
     NoiseSpec,
@@ -179,7 +180,7 @@ class TestDerivativeBench:
         assert len(lines) == 2 + 2 * 2 * 2  # sizes x methods x seeds
 
     def test_rows_carry_context(self):
-        rows = run_derivative_bench([10], "sin_pi", 0.05, [3], 1.2)
+        rows = run_derivative_bench([10], "sin_pi", 0.05, [3], DiscrepancyRule(1.2))
         assert {row.method for row in rows} == {"dsmg", "vr"}
         for row in rows:
             assert row.seed == 3
@@ -217,12 +218,57 @@ class TestDerivativeBench:
         assert any(line.split(",")[1] == "vr" for line in marked)
 
 
+class TestRuleOptions:
+    """Each subcommand builds its rule once, before any file is read or any cell runs."""
+
+    @pytest.mark.parametrize("C", ["2.5", "0.5", "1.0"])
+    def test_bench_inadmissible_C_exits_3_without_csv(self, C, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a benchmark cell ran")
+
+        monkeypatch.setattr(cli, "_bench_cell", refuse)
+        code = main(["derivative-bench", "--N", "10", "--seeds", "0", "--C", C])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        message = f"discrepancy constant C={float(C)} must lie in (1, 2)"
+        assert captured.err == f"error: DomainError: {message}\n"
+
+    # no file of these exists: each rule error must come before the first read
+    MISSING_FILES = pytest.mark.parametrize(
+        "argv",
+        [["solve", "/nonexistent/a.txt", "/nonexistent/f.txt", "--delta", "0.01"],
+         ["deblur", "/nonexistent/i.pgm", "/nonexistent/p.pgm", "--delta-rel", "0.01",
+          "--out", "/nonexistent/o.pgm"]],
+        ids=["solve", "deblur"],
+    )
+
+    @MISSING_FILES
+    @pytest.mark.parametrize("rule", [[], ["--rule", "discrepancy"]], ids=["default", "explicit"])
+    def test_gamma_without_apriori_is_usage_error(self, argv, rule, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + rule + ["--gamma", "0.3"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "--gamma applies only to --rule apriori" in captured.err
+
+    @MISSING_FILES
+    def test_bad_rule_reported_before_bad_file(self, argv, capsys):
+        code = main(argv + ["--C", "2.5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: DomainError: discrepancy constant C=2.5")
+
+
 class TestDerivativeBenchClosedForm:
     """The sweep factors its matrices in closed form, with no eigensolver."""
 
     def test_matches_eigh_oracle(self):
-        rows = run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, 1.1)
-        expected = eigh_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, 1.1)
+        rule = DiscrepancyRule(1.1)
+        rows = run_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, rule)
+        expected = eigh_derivative_bench(BENCH_SIZES, "sin_2pi", 0.01, BENCH_SEEDS, rule)
         key = [(r.N, r.method, r.seed, r.iterations, r.delta_rel) for r in rows]
         assert key == [(r.N, r.method, r.seed, r.iterations, r.delta_rel) for r in expected]
         assert all(r.iterations >= 0 for r in rows)
@@ -238,7 +284,7 @@ class TestDerivativeBenchClosedForm:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         with pytest.raises(AssertionError):  # the patch reaches the dense path
             factorize_svd(second_derivative_problem(10, math.sin).matrix)
-        rows = run_derivative_bench([2, 10, 57, 200], "sin_pi", 0.01, [0, 1], 1.1)
+        rows = run_derivative_bench([2, 10, 57, 200], "sin_pi", 0.01, [0, 1], DiscrepancyRule(1.1))
         assert len(rows) == 4 * 2 * 2
         assert all(row.iterations >= 0 for row in rows)
         assert main(["derivative-bench", "--N", "10,20", "--seeds", "0"]) == 0

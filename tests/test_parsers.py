@@ -121,3 +121,17 @@ def test_read_pgm_raises_only_malformed_file_inside_the_file(write_file, content
         pgm.read_pgm(write_file(content))
     except MalformedFile as exc:
         assert 0 <= exc.offset <= len(content)
+
+
+# -- both readers ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("read", [load_matrix, pgm.read_pgm], ids=["text", "pgm"])
+@pytest.mark.parametrize("name", ["missing", "directory"])
+def test_unreadable_file_is_malformed_at_offset_0(tmp_path, read, name):
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    with pytest.raises(MalformedFile, match=f"^cannot read {path}: ") as excinfo:
+        read(path)
+    assert excinfo.value.offset == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dsmg import (
     DimensionMismatch,
+    DiscrepancyRule,
     DomainError,
     FactorizationFailure,
     NoiseSpec,
@@ -229,8 +230,8 @@ class TestSweepWithoutDenseBases:
         v = dst2_basis(n)
         dense = SpectralFactorization(-v, v, fast.diag, fast.shape)
         for seed in range(3):
-            got = _bench_cell(problem, fast, 0.01, seed, 1.1)
-            want = _bench_cell(problem, dense, 0.01, seed, 1.1)
+            got = _bench_cell(problem, fast, 0.01, seed, DiscrepancyRule(1.1))
+            want = _bench_cell(problem, dense, 0.01, seed, DiscrepancyRule(1.1))
             assert [r.iterations for r in got] == [r.iterations for r in want]
             assert all(r.iterations >= 0 for r in got)
             for row, ref in zip(got, want):

@@ -188,7 +188,7 @@ class TestDiscrepancy:
         for run in (
             lambda p: solve(p, DiscrepancyRule(1.1)).solution,
             lambda p: solve(p, AprioriRule()).solution,
-            lambda p: vr_solve(p, 1.1).solution,
+            lambda p: vr_solve(p, DiscrepancyRule(1.1)).solution,
         ):
             ours, expected = run(zero), run(default)
             assert ours.dtype == expected.dtype
@@ -231,7 +231,7 @@ def test_symmetric_factorization_matches_svd_oracle(seed):
     ours, ref = solve(fast, DiscrepancyRule(C=1.1)), solve(slow, DiscrepancyRule(C=1.1))
     assert abs(ours.t_delta - ref.t_delta) <= 1e-10 * ref.t_delta
     assert ours.newton_iterations == ref.newton_iterations
-    ours, ref = vr_solve(fast, 1.1), vr_solve(slow, 1.1)
+    ours, ref = vr_solve(fast, DiscrepancyRule(1.1)), vr_solve(slow, DiscrepancyRule(1.1))
     assert abs(ours.alpha - ref.alpha) <= 1e-10 * ref.alpha
     assert ours.newton_iterations == ref.newton_iterations
 
@@ -358,7 +358,7 @@ class TestNewtonFromZero:
         assert report.newton_iterations == 0
         assert report.diagnostics == (FLAG_DISCREPANCY_AT_START,)
         with pytest.raises(PreconditionViolated):
-            vr_solve(problem, 1.5)
+            vr_solve(problem, DiscrepancyRule(1.5))
 
     @staticmethod
     def _count_passes(monkeypatch):
@@ -406,7 +406,7 @@ class TestNewtonFromZero:
 
     def test_vr_start_within_tolerance_raises(self):
         with pytest.raises(PreconditionViolated):
-            vr_solve(self._start_within_tolerance(), 1.5)
+            vr_solve(self._start_within_tolerance(), DiscrepancyRule(1.5))
 
     def test_overshoot_is_bisected_back(self, monkeypatch):
         # halving the reported slope doubles every Newton step, so steps land
@@ -520,7 +520,7 @@ class TestSolve:
         target = 1.1 * problem.delta
         methods = (
             (lambda: solve(problem, DiscrepancyRule(C=1.1)), "t_delta"),
-            (lambda: vr_solve(problem, 1.1), "alpha"),
+            (lambda: vr_solve(problem, DiscrepancyRule(1.1)), "alpha"),
         )
         for method, parameter in methods:
             try:
@@ -558,7 +558,7 @@ class TestSolve:
         with pytest.raises(DomainError):
             AprioriRule(C=-1.0)
         for constant in (math.nan, math.inf, 0.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=f"^a priori constant C={constant} must be"):
                 AprioriRule(C=constant)
         with pytest.raises(DomainError):
             AprioriRule(C=1.0, gamma=1.0)
