@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .baselines import vr_solve
 from .deconvolution import GrayImage, deconvolve_2d
-from .errors import DsmgError, MalformedFile, _read_bytes
+from .errors import DsmgError, MalformedFile, _ascii_int, _read_bytes
 from .linalg import factorize_svd
 from .pgm import read_pgm, write_pgm
 from .problems import NoiseSpec, add_noise, second_derivative_problem
@@ -52,14 +52,6 @@ class BenchmarkRow:
     t_or_alpha: float
     seed: int
     delta_rel: float
-
-
-def _ascii_int(token: str) -> int:
-    # ASCII digits only: int() would also take a sign, digit-group underscores
-    # and non-ASCII digits
-    if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"invalid integer {token!r}")
-    return int(token)
 
 
 # the bytes of "m n" rows of finite decimals; a file with any other byte (a letter
@@ -97,7 +89,7 @@ def _load_bulk(raw: bytes):
     body = io.BytesIO(raw)
     body.seek(end + 1)
     try:
-        rows, cols = _ascii_int(head[0].decode()), _ascii_int(head[1].decode())
+        rows, cols = _ascii_int(head[0]), _ascii_int(head[1])
         data = np.loadtxt(body, comments=None, ndmin=2)
     except ValueError:
         return None
@@ -123,8 +115,8 @@ def _load_rows(path, raw: bytes) -> np.ndarray:
         raise MalformedFile(f"{path}: first line must be 'm n'", header_at)
     try:
         rows, cols = _ascii_int(header[0]), _ascii_int(header[1])
-    except ValueError:
-        raise MalformedFile(f"{path}: non-integer dimensions {header}", header_at) from None
+    except ValueError as exc:
+        raise MalformedFile(f"{path}: bad dimensions: {exc}", header_at) from None
     if rows < 1 or cols < 1 or len(lines) - 1 != rows:
         raise MalformedFile(
             f"{path}: expected {rows} data rows, found {len(lines) - 1}", header_at
@@ -184,7 +176,7 @@ def cmd_solve(args, rule) -> int:
     matrix = load_matrix(args.matrix)
     rows, cols = matrix.shape
     rhs = load_vector(args.rhs, "rhs", rows, "rows")
-    start = None if args.u0 == "zero" else load_vector(args.u0, "u0", cols, "columns")
+    start = None if args.u0 is None else load_vector(args.u0, "u0", cols, "columns")
     problem = NoisyProblem(
         factorization=factorize_svd(matrix), f_delta=rhs, delta=args.delta, u0=start
     )
@@ -319,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("rhs", help="text vector file with the noisy right-hand side")
     p_solve.add_argument("--delta", type=float, required=True, help="noise bound")
     _add_rule_options(p_solve)
-    p_solve.add_argument("--u0", default="zero", help="'zero' or a vector file")
+    p_solve.add_argument("--u0", default=None, help="start vector file (default: zero vector)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("derivative-bench", help="benchmark sweep, CSV on stdout")

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all dsmg modules, and the file read of both parsers."""
+"""Exception hierarchy of all dsmg modules, and the file and integer reads of both parsers."""
 
 
 class DsmgError(Exception):
@@ -50,3 +50,16 @@ def _read_bytes(path) -> bytes:
             return handle.read()
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc
+
+
+def _ascii_int(token) -> int:
+    """A str or bytes token of ASCII digits as an int, or ValueError.
+
+    int() would also take a sign, digit-group underscores and non-ASCII digits,
+    and past its digit limit its own error would quote every digit."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{len(token)} digits") from None

@@ -170,27 +170,14 @@ def _adjoint_multiply(basis: _Basis, vec: np.ndarray) -> np.ndarray:
     return basis.adjoint(vec)
 
 
-def _symmetric_svd(a: np.ndarray):
-    """SVD of a Hermitian matrix from its eigendecomposition A = Q diag(lam) Q*.
-
-    Eigenpairs are ordered by |lam| nonincreasing (stable, so ties keep eigh's
-    order); U = Q sgn(lam), with sgn 0 taken as +1, folds the signs into the
-    left basis, so that U |lam| Q* = A is an exact SVD.
-    """
-    lam, q = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(lam), kind="stable")
-    lam, q = lam[order], q[:, order]
-    return q * np.where(lam < 0, -1.0, 1.0), np.abs(lam), q
-
-
 def factorize_svd(matrix) -> SpectralFactorization:
     """Factor a dense matrix into the thin SVD A = U S V*, U m x k and V n x k.
 
-    A square matrix that is exactly symmetric (Hermitian if complex) is
-    factored by ``eigh``, which is cheaper than an SVD: V holds the
-    eigenvectors, S their |eigenvalues|, and U the eigenvectors with the
-    eigenvalue signs folded in. Any other matrix is factored by ``svd``.
-    The returned diagonal is real, nonnegative and sorted nonincreasing.
+    One ``np.linalg.svd`` call factors it, with ``hermitian=True`` for a
+    matrix exactly equal to its conjugate transpose: numpy then runs the
+    cheaper ``eigh``, sorts by |eigenvalue| and folds the signs into V, so U
+    holds the eigenvectors. The returned diagonal is real, nonnegative and
+    sorted nonincreasing.
 
     The result is checked by a seeded probe estimate of the Frobenius
     reconstruction defect, ||U (S (V* X)) - A X||_F / sqrt(p) with X the
@@ -207,14 +194,11 @@ def factorize_svd(matrix) -> SpectralFactorization:
         raise DimensionMismatch(f"expected a 2-d array, got ndim {a.ndim}")
     _require_finite(a, "matrix")
     try:
-        if np.array_equal(a, a.conj().T):  # False unless square
-            u, s, v = _symmetric_svd(a)
-        else:
-            u, s, vh = np.linalg.svd(a, full_matrices=False)
-            v = vh.conj().T
+        # array_equal is False unless square
+        u, s, vh = np.linalg.svd(a, full_matrices=False, hermitian=np.array_equal(a, a.conj().T))
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(str(exc)) from exc
-    fact = SpectralFactorization(u_basis=u, v_basis=v, diag=s, shape=a.shape)
+    fact = SpectralFactorization(u_basis=u, v_basis=vh.conj().T, diag=s, shape=a.shape)
     _check_reconstruction(a, fact)
     return fact
 

@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from .deconvolution import GrayImage
-from .errors import MalformedFile, _read_bytes
+from .errors import MalformedFile, _ascii_int, _read_bytes
 
 # whitespace (in a bytes pattern \s is ASCII " \t\n\r\v\f") and '#' comments,
 # then one token. A comment runs to its newline, so a match never ends inside
@@ -31,14 +31,10 @@ def _next_token(tokens, what: str) -> re.Match:
 def _next_int(tokens, what: str) -> tuple[int, re.Match]:
     """The next token as a decimal integer, and its match for the byte offsets."""
     match = _next_token(tokens, what)
-    token = match[1]
-    # ASCII digits only: int() would also take a sign and digit-group underscores
-    if not token.isdigit():
-        raise MalformedFile(f"invalid {what} {token!r}", match.start(1))
     try:
-        return int(token), match
-    except ValueError:  # past int()'s limit on the number of digits
-        raise MalformedFile(f"{what} has {len(token)} digits", match.start(1)) from None
+        return _ascii_int(match[1]), match
+    except ValueError as exc:
+        raise MalformedFile(f"bad {what}: {exc}", match.start(1)) from None
 
 
 def read_pgm(path) -> GrayImage:

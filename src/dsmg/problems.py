@@ -29,20 +29,20 @@ basis diagonalizes it (Strang, "The Discrete Cosine Transform", SIAM Review
 
 So K = U S V* with S_k = h^2 (1 / (4 sin^2 theta_k) - 1/6), positive and
 strictly decreasing in k, and U = -V, since every eigenvalue of K is
-negative: the sign fold that ``factorize_svd`` applies after ``eigh``.
+negative (the hermitian SVD in ``factorize_svd`` negates V instead).
 Neither basis is stored as an array: V is a fast sine transform, applied
 by one real FFT of length 4N in O(N log N) time and O(N) memory, and U is
-the same transform with its sign flipped. The factorization passes the same
+the same transform with negated weights. The factorization passes the same
 orthonormality and reconstruction checks as ``factorize_svd``, run through
 the transform. ``factorize_svd`` itself, and so ``dsmg solve`` on a matrix
-file, still factors by ``eigh`` or ``svd``.
+file, still factors by ``np.linalg.svd``.
 
 Noise is generated by a Box-Muller transform over the PCG64 generator, so a
 seed pins the realization bit-for-bit across platforms, and is rescaled so
 that ||noise|| = delta_rel * ||b|| holds exactly.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -115,7 +115,7 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
 
 @dataclass(frozen=True, eq=False)
 class _SineBasis:
-    """The orthonormal DST-II basis V_jk = w_k sin((2j - 1) k pi / (2N)), times ``sign``.
+    """The orthonormal DST-II basis V_jk = w_k sin((2j - 1) k pi / (2N)), w_k = ``weights``.
 
     Applied by one real FFT of length 4N with the data at the odd indices,
     in O(N log N) time and O(N) memory per column; no N x N array is built.
@@ -127,15 +127,14 @@ class _SineBasis:
     """
 
     weights: np.ndarray
-    sign: float = 1.0
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.weights), len(self.weights))
 
     def _scaled(self, data: np.ndarray, scale: float) -> np.ndarray:
-        """data * (scale * sign * weights) along axis 0."""
-        w = (scale * self.sign) * self.weights
+        """data * (scale * weights) along axis 0."""
+        w = scale * self.weights
         return data * (w if data.ndim == 1 else w[:, None])
 
     def _checked(self, data) -> np.ndarray:
@@ -173,9 +172,10 @@ def _dst2_factorization(N: int) -> SpectralFactorization:
     diag = h * h * (0.25 / quarter[1:] ** 2 - 1.0 / 6.0)
     weights = np.full(N, np.sqrt(2.0 / N))
     weights[-1] *= np.sqrt(0.5)
-    weights.setflags(write=False)
-    v = _SineBasis(weights)
-    u = replace(v, sign=-1.0)
+    negated = -weights
+    for w in (weights, negated):
+        w.setflags(write=False)
+    u, v = _SineBasis(negated), _SineBasis(weights)
     return SpectralFactorization(u_basis=u, v_basis=v, diag=diag, shape=(N, N))
 
 

@@ -99,6 +99,15 @@ class TestSolveCommand:
             load_matrix(path)
         assert excinfo.value.offset == offset
 
+    @pytest.mark.parametrize("header", ["1" * 5000 + " 1", "1 " + "1" * 5000], ids=["m", "n"])
+    def test_header_past_int_digit_limit_names_digit_count(self, tmp_path, header):
+        # int() refuses more than 4300 digits with a message quoting them all
+        path = write_text(tmp_path / "a.txt", f"\n\n{header}\n5\n")
+        with pytest.raises(MalformedFile, match="bad dimensions: 5000 digits") as excinfo:
+            load_matrix(path)
+        assert excinfo.value.offset == 2
+        assert len(str(excinfo.value)) < 200 + len(path)
+
     def test_nan_entry_exits_2(self, tmp_path, capsys):
         matrix = write_text(tmp_path / "a.txt", "2 2\n1 0\n0 nan\n")
         rhs = write_text(tmp_path / "f.txt", "2 1\n1\n2\n")
@@ -165,6 +174,26 @@ class TestSolveCommand:
         code = main(["solve", matrix, rhs, "--delta", "0.01", "--u0", start])
         assert code == 0
 
+    def test_u0_file_named_zero_is_read(self, tmp_path, monkeypatch, capsys):
+        # no file name means the zero start: a start file called "zero" is a file
+        monkeypatch.chdir(tmp_path)
+        write_text(tmp_path / "a.txt", "2 2\n1.0 0\n0 0.1\n")
+        write_text(tmp_path / "f.txt", "2 1\n1.0\n1.0\n")
+        for name in ("zero", "u0.txt"):
+            write_text(tmp_path / name, "2 1\n0.5\n-0.5\n")
+        outputs = {}
+        for start in ([], ["--u0", "zero"], ["--u0", "u0.txt"]):
+            assert main(["solve", "a.txt", "f.txt", "--delta", "0.01", *start]) == 0
+            outputs[tuple(start)] = capsys.readouterr().out
+        assert outputs[("--u0", "zero")] == outputs[("--u0", "u0.txt")]
+        assert outputs[("--u0", "zero")] != outputs[()]
+
+    def test_matrix_given_as_vector_exits_2(self, tmp_path, capsys):
+        matrix = write_text(tmp_path / "a.txt", "2 2\n1 0\n0 1\n")
+        code = main(["solve", matrix, matrix, "--delta", "0.01"])
+        assert code == 2
+        assert "expected a vector, got shape (2, 2)" in capsys.readouterr().err
+
 
 class TestDerivativeBench:
     def test_csv_shape_and_determinism(self, capsys):
@@ -195,6 +224,12 @@ class TestDerivativeBench:
 
     def test_bad_n_list_exits_2(self, capsys):
         assert main(["derivative-bench", "--N", "10,twenty"]) == 2
+
+    def test_n_past_int_digit_limit_exits_2_with_short_error(self, capsys):
+        assert main(["derivative-bench", "--N", "1" * 5000]) == 2
+        assert capsys.readouterr().err == (
+            "error: MalformedFile: bad integer list: 5000 digits (byte offset 0)\n"
+        )
 
     @pytest.mark.parametrize(
         "option", [["--seeds=-1"], ["--N", "1_0", "--seeds", "0"]], ids=["negative-seed", "underscore-n"]
@@ -391,6 +426,18 @@ class TestDeblur:
         assert captured.err.startswith("error: FileNotFoundError: ")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+    def test_all_zero_psf_exits_2_without_output(self, deblur_files, capsys):
+        write_pgm(GrayImage(np.zeros((32, 32))), deblur_files["psf"])
+        code = main(
+            ["deblur", str(deblur_files["observed"]), str(deblur_files["psf"]),
+             "--delta-rel", "0.01", "--out", str(deblur_files["out"])]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "point-spread function is identically zero" in captured.err
+        assert captured.out == ""
+        assert not deblur_files["out"].exists()
 
     def test_missing_psf_exits_2(self, deblur_files, capsys):
         code = main(

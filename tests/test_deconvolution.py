@@ -110,6 +110,10 @@ class TestCircularConvolve:
 
 
 class TestDeconvolve1d:
+    def test_zero_kernel_rejected(self):
+        with pytest.raises(DomainError, match="^kernel transform is identically zero$"):
+            _deconvolve(np.zeros((1, 8)), np.ones((1, 8)), 0.1, DiscrepancyRule(1.1))
+
     def test_empty_signal_rejected(self):
         # an empty period would reach the FFT as "Invalid number of FFT data points"
         with pytest.raises(DimensionMismatch, match="kernel has shape"):
@@ -289,6 +293,10 @@ class TestHelpers:
     def test_gaussian_psf_rejects_bad_sigma(self, sigma):
         with pytest.raises(DomainError, match="sigma"):
             gaussian_psf(8, 8, sigma)
+
+    def test_blur_periodic_rejects_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="differ in shape"):
+            blur_periodic(synthetic_target(16, 16), gaussian_psf(16, 8, 1.0))
 
     def test_blur_periodic_matches_row_convolution(self):
         # a psf concentrated on row 0 reduces the 2-d blur to a 1-d circular

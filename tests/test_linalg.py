@@ -36,7 +36,7 @@ def hermitian_matrix(seed: int, n: int) -> np.ndarray:
 
 
 # square inputs equal to their conjugate transpose, which factorize_svd
-# factors by eigh
+# factors by the hermitian svd (eigh)
 SYMMETRIC_CASES = {
     "indefinite": symmetric_matrix(1, [3.0, -2.0, 1.0, -0.5, 0.1]),
     "zero-eigenvalue": np.ones((4, 4)),  # eigenvalues 4, 0, 0, 0
@@ -102,20 +102,21 @@ class TestFactorizeSvd:
 
     @pytest.mark.parametrize("name", SYMMETRIC_CASES)
     def test_eigh_only_for_exactly_symmetric_input(self, name, monkeypatch):
+        # one svd call, hermitian (numpy's eigh path) only when A equals A* exactly
         calls = []
-        eigh = np.linalg.eigh
+        svd = np.linalg.svd
 
-        def counting_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
+        def spying_svd(*args, **kwargs):
+            calls.append(kwargs.get("hermitian", False))
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", spying_svd)
         factorize_svd(SYMMETRIC_CASES[name])
-        assert len(calls) == 1
+        assert calls == [True]
         calls.clear()
         asymmetric = one_ulp_asymmetric(SYMMETRIC_CASES[name])
         fact = factorize_svd(asymmetric)
-        assert len(calls) == 0
+        assert calls == [False]
         assert np.linalg.norm(to_matrix(fact) - asymmetric) <= 1e-12 * np.linalg.norm(asymmetric)
 
     def test_tall_bases_are_thin(self):
@@ -138,6 +139,21 @@ class TestFactorizeSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             factorize_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(DimensionMismatch, match=f"expected a 2-d array, got ndim {len(shape)}"):
+            factorize_svd(np.ones(shape))
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), random_matrix(4, 5, 3, 0.1, 2.0)],
+                             ids=["hermitian", "general"])
+    def test_nonconvergence_is_factorization_failure(self, matrix, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(FactorizationFailure, match="^SVD did not converge$"):
+            factorize_svd(matrix)
 
 
 class TestFromDiagonal:
@@ -335,6 +351,11 @@ class TestValidation:
                 u_basis=None, v_basis=np.eye(1), diag=np.array([1.0]), shape=(2, 1)
             )
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_rejects_empty_shape(self, shape):
+        with pytest.raises(DimensionMismatch, match="must be at least 1 x 1"):
+            SpectralFactorization(u_basis=None, v_basis=None, diag=np.ones(0), shape=shape)
+
     def test_rejects_wrong_diag_length(self):
         with pytest.raises(DimensionMismatch):
             SpectralFactorization(
@@ -401,9 +422,9 @@ class TestOrthonormalityCheck:
             )
 
 
-# symmetric input and a corruption of the eigenvalues eigh returns
+# symmetric input and a corruption of the |eigenvalues| the hermitian svd returns
 WRONG_EIGENVALUE_CASES = {
-    "swapped": (SYMMETRIC_CASES["indefinite"], lambda lam: lam[[1, 0, 2, 3, 4]]),
+    "swapped": (SYMMETRIC_CASES["indefinite"], lambda s: s[[1, 0, 2, 3, 4]]),
     "zeroed": (SYMMETRIC_CASES["indefinite"], np.zeros_like),
     "zeroed-tiny-norm": (tiny_second_derivative_matrix(), np.zeros_like),
 }
@@ -415,13 +436,14 @@ class TestReconstructionCheck:
     @pytest.mark.parametrize("case", WRONG_EIGENVALUE_CASES)
     def test_rejects_wrong_eigenvalues(self, case, monkeypatch):
         matrix, wrong = WRONG_EIGENVALUE_CASES[case]
-        eigh = np.linalg.eigh
+        svd = np.linalg.svd
 
-        def wrong_eigh(a):
-            lam, q = eigh(a)
-            return wrong(lam), q
+        def wrong_svd(a, **kwargs):
+            assert kwargs["hermitian"]
+            u, s, vh = svd(a, **kwargs)
+            return u, wrong(s), vh
 
-        monkeypatch.setattr(np.linalg, "eigh", wrong_eigh)
+        monkeypatch.setattr(np.linalg, "svd", wrong_svd)
         with pytest.raises(FactorizationFailure):
             factorize_svd(matrix)
 

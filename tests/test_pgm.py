@@ -69,6 +69,21 @@ def test_truncated_raster_rejected(tmp_path):
     assert excinfo.value.offset > 0
 
 
+@pytest.mark.parametrize(
+    "content, offset, message",
+    [(b"P2\n0 1\n255\n", 10, "invalid dimensions 0 x 1"),
+     (b"P5\n3 0\n255\n", 10, "invalid dimensions 3 x 0"),
+     (b"P5\n1 1\n255", 10, "missing raster separator")],
+    ids=["zero-width", "zero-height", "p5-ends-at-maxval"],
+)
+def test_bad_header_end_reported_after_maxval(tmp_path, content, offset, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(content)
+    with pytest.raises(MalformedFile, match=message) as excinfo:
+        read_pgm(path)
+    assert excinfo.value.offset == offset
+
+
 def test_oversized_maxval_rejected(tmp_path):
     path = tmp_path / "big.pgm"
     path.write_bytes(b"P2\n1 1\n65535\n1000\n")

@@ -217,7 +217,7 @@ class TestSineBasis:
         else:
             weights *= 1.0 + 1e-6
         bad = replace(fact.v_basis, weights=weights)
-        for u_basis, v_basis in ((fact.u_basis, bad), (replace(bad, sign=-1.0), fact.v_basis)):
+        for u_basis, v_basis in ((fact.u_basis, bad), (replace(bad, weights=-bad.weights), fact.v_basis)):
             with pytest.raises(DomainError, match="not orthonormal"):
                 SpectralFactorization(u_basis, v_basis, fact.diag, fact.shape)
 

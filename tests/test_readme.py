@@ -1,0 +1,19 @@
+"""Every ```python block of README.md runs as written, each in a fresh directory."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(BLOCKS) == 3
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_block_runs(index, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})

@@ -11,22 +11,29 @@ from dsmg import (
     DiscrepancyRule,
     DomainError,
     DsmgError,
+    GrayImage,
+    IterationBudgetExceeded,
     NoiseSpec,
     NoisyProblem,
     PreconditionViolated,
     SpectralFactorization,
     UnattainableDiscrepancy,
     add_noise,
+    blur_periodic,
+    deconvolve_2d,
     discrepancy,
     evolution_filter,
     factorize_svd,
     from_diagonal,
+    gaussian_psf,
     second_derivative_problem,
     solution_at,
     solve,
+    synthetic_target,
     vr_solve,
 )
-from dsmg import solver
+from dsmg import baselines, solver
+from dsmg.cli import _bench_cell
 from dsmg.solver import FLAG_DISCREPANCY_AT_START
 from oracles import UnstableStep, apply, landweber_integrate, minimal_norm_solution, newton_solve_t
 
@@ -131,6 +138,11 @@ class TestDiscrepancy:
     def test_scalar_decay(self):
         problem = scalar_problem()
         assert abs(discrepancy(problem, math.log(10.0)) - 0.1) < 1e-14
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_rejects_bad_time(self, t):
+        with pytest.raises(DomainError, match="must be nonnegative and finite"):
+            discrepancy(scalar_problem(), t)
 
     def test_matches_recomputed_residual(self):
         problem = random_problem(5, m=5, n=3)
@@ -444,6 +456,60 @@ class TestNewtonFromZero:
             assert math.isfinite(result.t_delta) and result.t_delta > 0
 
 
+class TestPassCount:
+    """One spectral pass per Newton step plus the pass at t = 0, counted at the source.
+
+    Every residual of the flow goes through ``solver._residual_pass`` and every
+    Tikhonov residual through ``baselines._vr_residual``, so wrappers there see
+    each pass however a front end reaches the solvers.
+    """
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counts = {"dsmg": 0, "vr": 0}
+        for module, name, method in ((solver, "_residual_pass", "dsmg"),
+                                     (baselines, "_vr_residual", "vr")):
+            original = getattr(module, name)
+
+            def counted(problem, t, original=original, method=method):
+                counts[method] += 1
+                return original(problem, t)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @staticmethod
+    def _readme_deblur(delta_rel, rule):
+        truth = synthetic_target(64, 64)
+        psf = gaussian_psf(64, 64, sigma=2.0)
+        noisy, _ = add_noise(blur_periodic(truth, psf).pixels.ravel(), NoiseSpec(0.01, seed=0))
+        return deconvolve_2d(GrayImage(noisy.reshape(64, 64)), psf, delta_rel, rule)[1]
+
+    def test_readme_deblur(self, passes):
+        report = self._readme_deblur(0.01, DiscrepancyRule(C=1.3))
+        assert report.newton_iterations > 0
+        assert passes == {"dsmg": report.newton_iterations + 1, "vr": 0}
+
+    def test_readme_deblur_apriori_and_satisfied_start(self, passes):
+        self._readme_deblur(0.01, AprioriRule())
+        assert passes["dsmg"] == 1
+        # delta_rel 0.95 puts C * delta above the residual of the zero start
+        report = self._readme_deblur(0.95, DiscrepancyRule(C=1.1))
+        assert report.diagnostics == (FLAG_DISCREPANCY_AT_START,)
+        assert passes["dsmg"] == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep_cell_at_100(self, passes, seed):
+        problem = second_derivative_problem(100, lambda t: math.sin(2.0 * math.pi * t))
+        rows = _bench_cell(problem, problem.factorization, 0.01, seed, DiscrepancyRule(1.1))
+        iterations = {row.method: row.iterations for row in rows}
+        assert min(iterations.values()) > 0
+        assert passes == {method: count + 1 for method, count in iterations.items()}
+        rhs, delta = add_noise(problem.exact_rhs, NoiseSpec(0.01, seed))
+        solve(NoisyProblem(problem.factorization, rhs, delta), AprioriRule())
+        assert passes["dsmg"] == iterations["dsmg"] + 2
+
+
 class TestSolve:
     def test_apriori_exact_data_errors_shrink(self):
         # spectrum reaching down to lam ~ 1e-2 keeps all three stopping times
@@ -549,6 +615,18 @@ class TestSolve:
         pinv = minimal_norm_solution(fact, problem.f_delta)
         state = solution_at(problem, 500.0)
         assert np.linalg.norm(state - pinv) <= 1e-8 * np.linalg.norm(pinv)
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(DomainError, match="^unknown stopping rule <object object"):
+            solve(scalar_problem(), object())
+
+    def test_newton_budget_exhausted_is_typed(self, monkeypatch):
+        # two modes: the first Newton step is not exact, so a budget of one fails
+        problem = NoisyProblem(from_diagonal([1.0, 0.1]), np.array([1.0, 1.0]), 0.05)
+        assert solve(problem, DiscrepancyRule(1.1)).newton_iterations > 1
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(IterationBudgetExceeded, match="in 1 iterations"):
+            solve(problem, DiscrepancyRule(1.1))
 
     def test_rule_validation(self):
         with pytest.raises(DomainError):
