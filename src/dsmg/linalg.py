@@ -174,10 +174,10 @@ def factorize_svd(matrix) -> SpectralFactorization:
     """Factor a dense matrix into the thin SVD A = U S V*, U m x k and V n x k.
 
     One ``np.linalg.svd`` call factors it, with ``hermitian=True`` for a
-    matrix exactly equal to its conjugate transpose: numpy then runs the
-    cheaper ``eigh``, sorts by |eigenvalue| and folds the signs into V, so U
-    holds the eigenvectors. The returned diagonal is real, nonnegative and
-    sorted nonincreasing.
+    matrix exactly equal to its conjugate transpose: numpy runs ``eigh``,
+    sorts by |eigenvalue| and folds the signs into V. V's column of an
+    exact-zero S entry is then set to U's, which numpy releases that fold
+    sign(0) = 0 leave zero. The diagonal is real, nonnegative and nonincreasing.
 
     The result is checked by a seeded probe estimate of the Frobenius
     reconstruction defect, ||U (S (V* X)) - A X||_F / sqrt(p) with X the
@@ -193,11 +193,13 @@ def factorize_svd(matrix) -> SpectralFactorization:
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got ndim {a.ndim}")
     _require_finite(a, "matrix")
+    hermitian = np.array_equal(a, a.conj().T)  # False unless square
     try:
-        # array_equal is False unless square
-        u, s, vh = np.linalg.svd(a, full_matrices=False, hermitian=np.array_equal(a, a.conj().T))
+        u, s, vh = np.linalg.svd(a, full_matrices=False, hermitian=hermitian)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(str(exc)) from exc
+    if hermitian:
+        vh[s == 0] = u[:, s == 0].conj().T
     fact = SpectralFactorization(u_basis=u, v_basis=vh.conj().T, diag=s, shape=a.shape)
     _check_reconstruction(a, fact)
     return fact

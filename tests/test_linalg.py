@@ -40,6 +40,7 @@ def hermitian_matrix(seed: int, n: int) -> np.ndarray:
 SYMMETRIC_CASES = {
     "indefinite": symmetric_matrix(1, [3.0, -2.0, 1.0, -0.5, 0.1]),
     "zero-eigenvalue": np.ones((4, 4)),  # eigenvalues 4, 0, 0, 0
+    "exact-zero-eigenvalue": np.diag([1.0, 0.0]),  # eigh returns 0.0 exactly
     "repeated-eigenvalue": symmetric_matrix(2, [2.0, -2.0, 2.0, 1.0, 0.5]),
     "complex-hermitian": hermitian_matrix(3, 5),
 }
@@ -118,6 +119,27 @@ class TestFactorizeSvd:
         fact = factorize_svd(asymmetric)
         assert calls == [False]
         assert np.linalg.norm(to_matrix(fact) - asymmetric) <= 1e-12 * np.linalg.norm(asymmetric)
+
+    @pytest.mark.parametrize("fold", ["numpy", "sign"])
+    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), np.diag([1.0, 0.0]),
+                                        np.diag([1.0, -0.0]), np.diag([-0.0, 2.0, 0.0])],
+                             ids=["all-zero", "zero", "negative-zero", "both-zeros"])
+    def test_exact_zero_eigenvalue_takes_sign_plus_one(self, matrix, fold, monkeypatch):
+        # V's column of an exact-zero S entry is U's, whether numpy folds
+        # copysign(1, lam) into V (-1 at -0.0) or sign(lam) (0, a zero column)
+        svd = np.linalg.svd
+
+        def sign_fold_svd(a, **kwargs):
+            u, s, vh = svd(a, **kwargs)
+            vh[s == 0] = 0.0
+            return u, s, vh
+
+        if fold == "sign":
+            monkeypatch.setattr(np.linalg, "svd", sign_fold_svd)
+        fact = factorize_svd(matrix)
+        zero = fact.diag == 0
+        assert zero.any()
+        assert np.array_equal(fact.v_basis[:, zero], fact.u_basis[:, zero])
 
     def test_tall_bases_are_thin(self):
         a = np.random.default_rng(0).normal(size=(4000, 20))
