@@ -52,13 +52,20 @@ def _read_bytes(path) -> bytes:
         raise MalformedFile(f"cannot read {path}: {exc.strerror}", 0) from exc
 
 
+# characters of a bad integer token that an error message quotes
+_QUOTED_CHARS = 20
+
+
 def _ascii_int(token) -> int:
     """A str or bytes token of ASCII digits as an int, or ValueError.
 
     int() would also take a sign, digit-group underscores and non-ASCII digits,
-    and past its digit limit its own error would quote every digit."""
+    and past its digit limit its own error would quote every digit. A bad
+    token longer than _QUOTED_CHARS is quoted by its prefix and its length."""
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"invalid integer {token!r}")
+        if len(token) <= _QUOTED_CHARS:
+            raise ValueError(f"invalid integer {token!r}")
+        raise ValueError(f"invalid integer {token[:_QUOTED_CHARS]!r}... ({len(token)} characters)")
     try:
         return int(token)
     except ValueError:

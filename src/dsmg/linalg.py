@@ -57,6 +57,12 @@ class _Transform(Protocol):
 _Basis = np.ndarray | _Transform | None
 
 
+class _Operator(Protocol):
+    """A linear map known only by its product A X with an n x p block."""
+
+    def apply(self, x: np.ndarray) -> np.ndarray: ...
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} contains non-finite entries")
@@ -205,24 +211,35 @@ def factorize_svd(matrix) -> SpectralFactorization:
     return fact
 
 
-def _check_reconstruction(a: np.ndarray, fact: SpectralFactorization) -> None:
-    """Raise FactorizationFailure unless U S V* reconstructs the dense matrix a.
+def _check_reconstruction(a: "np.ndarray | _Operator", fact: SpectralFactorization) -> None:
+    """Raise FactorizationFailure unless U S V* reconstructs a.
 
     The seeded probe test of ``factorize_svd``'s docstring, run through
-    ``_left_multiply`` / ``_adjoint_multiply`` for a basis of any kind. Any
-    code that factors a known dense matrix calls it.
+    ``_left_multiply`` / ``_adjoint_multiply`` for a basis of any kind. The
+    reference product A X comes from the dense matrix a, or from ``a.apply``
+    for an operator that is never assembled. An operator has no entries to
+    scale by, so A X is scaled by its own largest |entry| c, and ||A||_F in
+    the tolerance is its probe estimate ||A X / c||_F / sqrt(p). Any code
+    that factors a known matrix or operator calls it.
     """
     u, s, v = fact.u_basis, fact.diag, fact.v_basis
-    # largest |Re| or |Im| of an entry, within sqrt(2) of max|A|; taken part by
-    # part because an m x n abs() temporary raised dense-1000's peak RSS
-    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    peak = max(max(abs(part.max()), abs(part.min())) for part in parts) or 1.0
-    unit, s_unit = a / peak, s / peak
-    x = _probes(a.shape[1])
-    recon = _left_multiply(u, s_unit[:, None] * _adjoint_multiply(v, x))
-    recon_defect = _probe_norm(recon - unit @ x)
+    x = _probes(fact.shape[1])
+    if isinstance(a, np.ndarray):
+        # largest |Re| or |Im| of an entry, within sqrt(2) of max|A|; taken part
+        # by part because an m x n abs() temporary raised dense-1000's peak RSS
+        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+        peak = max(max(abs(part.max()), abs(part.min())) for part in parts) or 1.0
+        unit = a / peak
+        reference, scale = unit @ x, np.linalg.norm(unit)
+    else:
+        product = a.apply(x)
+        peak = float(np.max(np.abs(product))) or 1.0
+        reference = product / peak
+        scale = _probe_norm(reference)
+    recon = _left_multiply(u, (s / peak)[:, None] * _adjoint_multiply(v, x))
+    recon_defect = _probe_norm(recon - reference)
     # negated, so that a NaN defect from a transform fails too
-    if not recon_defect <= RECON_TOL_PER_DIM * min(a.shape) * np.linalg.norm(unit):
+    if not recon_defect <= RECON_TOL_PER_DIM * min(fact.shape) * scale:
         raise FactorizationFailure(
             f"relative reconstruction defect {recon_defect:.3e} exceeds tolerance"
         )

@@ -19,6 +19,11 @@ G_ij = min(x_i, x_j) - x_i x_j, and the exact diagonal-cell integral exceeds
 
     K = -h G + (h^2 / 6) I.
 
+No solve needs K as an array. ``TestProblem.apply`` computes K x from this
+formula in O(N), by two prefix sums plus the diagonal-cell term, and b = K u
+is computed that way; ``TestProblem.matrix`` assembles K only for a caller
+that reads it.
+
 G^-1 = T / h is the second-difference matrix T = tridiag(-1, 2, -1) with
 T_11 = T_NN = 3: Dirichlet ends half a cell outside the grid. The DST-II
 basis diagonalizes it (Strang, "The Discrete Cosine Transform", SIAM Review
@@ -34,8 +39,11 @@ Neither basis is stored as an array: V is a fast sine transform, applied
 by one real FFT of length 4N in O(N log N) time and O(N) memory, and U is
 the same transform with negated weights. The factorization passes the same
 orthonormality and reconstruction checks as ``factorize_svd``, run through
-the transform. ``factorize_svd`` itself, and so ``dsmg solve`` on a matrix
-file, still factors by ``np.linalg.svd``.
+the transform; the reconstruction probe takes its reference K X from
+``apply``, not from the matrix, so it checks the DST-II spectrum against the
+Green's-kernel formula, two independent derivations of K. ``factorize_svd``
+itself, and so ``dsmg solve`` on a matrix file, still factors by
+``np.linalg.svd``.
 
 Noise is generated by a Box-Muller transform over the PCG64 generator, so a
 seed pins the realization bit-for-bit across platforms, and is rescaled so
@@ -49,27 +57,79 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import SpectralFactorization, _check_reconstruction
+from .linalg import SpectralFactorization, _admitted, _check_reconstruction
 
 
 @dataclass(frozen=True)
 class TestProblem:
-    """Second-derivative matrix, exact solution and exact right-hand side b = A u."""
+    """The N x N second-derivative operator K, an exact solution u and b = K u.
 
-    matrix: np.ndarray
+    The one field is ``exact_solution``, u at the N cell midpoints, admitted
+    as a frozen float copy; N is its length. K is matrix-free: ``apply``
+    computes K x in O(N) time and memory, and ``exact_rhs`` is
+    ``apply(exact_solution)``. ``matrix``, ``exact_rhs`` and
+    ``factorization`` are built on first use and cached, so a caller pays
+    only for what it reads: ``derivative-bench`` never assembles ``matrix``.
+    """
+
     exact_solution: np.ndarray
-    exact_rhs: np.ndarray
+
+    def __post_init__(self):
+        solution = _admitted(self.exact_solution, "exact_solution", ndim=1, dtype=float)
+        object.__setattr__(self, "exact_solution", solution)
+
+    def apply(self, x) -> np.ndarray:
+        """K x for a vector or an N x p block along axis 0, in O(N p).
+
+        For midpoints m_i < m_j, G_ij = m_i (1 - m_j), so
+        (G x)_i = (1 - m_i) sum_(j <= i) m_j x_j + m_i sum_(j > i) (1 - m_j) x_j:
+        two prefix sums, one from each end, with no cancellation between
+        large terms. K x = (h^2 / 6) x - h G x adds the diagonal-cell term.
+        """
+        x = np.asarray(x)
+        n = len(self.exact_solution)
+        if x.ndim not in (1, 2) or len(x) != n:
+            raise DimensionMismatch(f"input of shape {x.shape} does not match {(n, n)}")
+        h = 1.0 / n
+        mid = _midpoints(n) if x.ndim == 1 else _midpoints(n)[:, None]
+        before = np.cumsum(mid * x, axis=0)
+        after = np.zeros_like(before)
+        after[:-1] = np.cumsum(((1.0 - mid) * x)[:0:-1], axis=0)[::-1]
+        return (h * h / 6.0) * x - h * ((1.0 - mid) * before + mid * after)
+
+    @cached_property
+    def exact_rhs(self) -> np.ndarray:
+        """b = K u, read-only."""
+        rhs = self.apply(self.exact_solution)
+        rhs.setflags(write=False)
+        return rhs
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix K, read-only; assembled only by a caller that reads it."""
+        n = len(self.exact_solution)
+        h = 1.0 / n
+        mid = _midpoints(n)
+        matrix = (np.outer(mid, mid) - np.minimum.outer(mid, mid)) * h
+        # Exact integral over the diagonal cell, where the kernel has a kink:
+        # (1/h) * double integral of K over cell i equals
+        # h^2 * ((i^2 - i + 1/4) h - (i - 2/3)).
+        idx = np.arange(1, n + 1, dtype=float)
+        matrix[np.diag_indices(n)] = h * h * ((idx * idx - idx + 0.25) * h - (idx - 2.0 / 3.0))
+        matrix.setflags(write=False)
+        return matrix
 
     @cached_property
     def factorization(self) -> SpectralFactorization:
-        """The closed-form DST-II factorization of ``matrix``, checked against it.
+        """The closed-form DST-II factorization of K, checked against ``apply``.
 
-        Built on first use: its reconstruction check is not paid for by a
-        caller that needs only the matrix. Raises FactorizationFailure if it
-        does not reconstruct the matrix.
+        The reconstruction probe compares U S V* X, from the DST-II
+        spectrum, with ``apply(X)``, from the Green's-kernel formula: two
+        independent derivations of K, so an error in either fails it. Raises
+        FactorizationFailure if they disagree.
         """
-        fact = _dst2_factorization(len(self.matrix))
-        _check_reconstruction(self.matrix, fact)
+        fact = _dst2_factorization(len(self.exact_solution))
+        _check_reconstruction(self, fact)
         return fact
 
 
@@ -88,29 +148,22 @@ class NoiseSpec:
             raise DomainError(f"seed={seed!r} must be a nonnegative integer")
 
 
+def _midpoints(n: int) -> np.ndarray:
+    """The cell midpoints (i - 1/2) h, i = 1..n, h = 1/n."""
+    return (np.arange(1, n + 1) - 0.5) * (1.0 / n)
+
+
 def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestProblem:
     """Build the N x N second-derivative test problem for a given solution.
 
     The solution is sampled at the cell midpoints (i - 1/2) / N and the
-    right-hand side is the exact product b = A u, so the pair (u, b) is
-    consistent with the matrix by construction. ``factorization`` is the
-    closed-form DST-II one of the module docstring.
+    right-hand side is the exact product b = K u, so the pair (u, b) is
+    consistent with the operator by construction. No N x N array is built;
+    see ``TestProblem``.
     """
     if N < 2:
         raise DomainError(f"N={N} must be at least 2")
-    h = 1.0 / N
-    mid = (np.arange(1, N + 1) - 0.5) * h
-    matrix = (np.outer(mid, mid) - np.minimum.outer(mid, mid)) * h
-    # Exact integral over the diagonal cell, where the kernel has a kink:
-    # (1/h) * double integral of K over cell i equals
-    # h^2 * ((i^2 - i + 1/4) h - (i - 2/3)).
-    idx = np.arange(1, N + 1, dtype=float)
-    matrix[np.diag_indices(N)] = h * h * ((idx * idx - idx + 0.25) * h - (idx - 2.0 / 3.0))
-    exact_solution = np.array([float(u_fn(point)) for point in mid])
-    exact_rhs = matrix @ exact_solution
-    for fresh in (matrix, exact_solution, exact_rhs):
-        fresh.setflags(write=False)
-    return TestProblem(matrix, exact_solution, exact_rhs)
+    return TestProblem(np.array([float(u_fn(point)) for point in _midpoints(N)]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,6 +108,15 @@ class TestSolveCommand:
         assert excinfo.value.offset == 2
         assert len(str(excinfo.value)) < 200 + len(path)
 
+    @pytest.mark.parametrize("header", ["x" * 5000 + " 1", "1 " + "x" * 5000], ids=["m", "n"])
+    def test_long_non_digit_header_quoted_by_prefix_and_length(self, tmp_path, header):
+        path = write_text(tmp_path / "a.txt", f"\n\n{header}\n5\n")
+        quoted = r"bad dimensions: invalid integer 'x{20}'\.\.\. \(5000 characters\)"
+        with pytest.raises(MalformedFile, match=quoted) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.offset == 2
+        assert len(str(excinfo.value)) < 200 + len(path)
+
     def test_nan_entry_exits_2(self, tmp_path, capsys):
         matrix = write_text(tmp_path / "a.txt", "2 2\n1 0\n0 nan\n")
         rhs = write_text(tmp_path / "f.txt", "2 1\n1\n2\n")

@@ -452,6 +452,16 @@ WRONG_EIGENVALUE_CASES = {
 }
 
 
+@dataclass(frozen=True)
+class DenseOperator:
+    """A dense matrix known to the reconstruction check only by its product."""
+
+    matrix: np.ndarray
+
+    def apply(self, x):
+        return self.matrix @ x
+
+
 class TestReconstructionCheck:
     """factorize_svd must reject a basis pairing that does not reproduce A."""
 
@@ -481,6 +491,19 @@ class TestReconstructionCheck:
         monkeypatch.setattr(np.linalg, "svd", swapping_svd)
         with pytest.raises(FactorizationFailure):
             factorize_svd(matrix)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 3), (3, 7)])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+    def test_operator_reference_gives_the_dense_verdict(self, shape, scale):
+        matrix = random_matrix(sum(shape), *shape, 0.1, 2.0) * scale
+        fact = factorize_svd(matrix)
+        swapped = SpectralFactorization(
+            fact.u_basis, fact.v_basis, fact.diag[[1, 0, *range(2, len(fact.diag))]], fact.shape
+        )
+        _check_reconstruction(DenseOperator(matrix), fact)
+        for reference in (matrix, DenseOperator(matrix)):
+            with pytest.raises(FactorizationFailure, match="reconstruction defect"):
+                _check_reconstruction(reference, swapped)
 
     def test_all_zero_matrix_factors(self):
         for shape in [(4, 4), (5, 3), (3, 5)]:

@@ -150,6 +150,15 @@ def test_integer_past_int_digit_limit_reported_at_token_start(tmp_path, content,
     assert excinfo.value.offset == offset
 
 
+def test_long_non_digit_width_quoted_by_prefix_and_length(tmp_path):
+    path = tmp_path / "letters.pgm"
+    path.write_bytes(b"P2\n" + b"w" * 5000 + b" 1\n255\n0\n")
+    with pytest.raises(MalformedFile, match=r"bad width: .*\.\.\. \(5000 characters\)") as excinfo:
+        read_pgm(path)
+    assert excinfo.value.offset == 3
+    assert len(str(excinfo.value)) < 200
+
+
 def test_empty_file_reported_at_magic_number(tmp_path):
     path = tmp_path / "empty.pgm"
     path.write_bytes(b"")

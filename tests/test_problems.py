@@ -1,6 +1,7 @@
 """Second-derivative test family and the seeded noise model."""
 
 import gc
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from dsmg import (
     problems,
     second_derivative_problem,
 )
+from dsmg import cli
 from dsmg.cli import _bench_cell
 from dsmg.linalg import _check_reconstruction
 from oracles import dst2_basis, greens_kernel
@@ -135,6 +137,68 @@ class TestSecondDerivativeProblem:
             second_derivative_problem(1, np.sin)
 
 
+class TestMatrixFreeOperator:
+    """TestProblem.apply, the O(N) Green's operator, against the dense matrix."""
+
+    @pytest.mark.parametrize("n", [2, 7, 100, 800])
+    @pytest.mark.parametrize("columns", [(), (8,)])
+    def test_apply_matches_dense_matrix(self, n, columns):
+        problem = second_derivative_problem(n, np.sin)
+        data = np.random.default_rng(n).standard_normal((n,) + columns)
+        got = problem.apply(data)
+        assert got.shape == data.shape
+        assert relative_gap(got, problem.matrix @ data) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(), (4,), (6,), (4, 2), (5, 2, 1)])
+    def test_apply_rejects_wrong_shape(self, shape):
+        problem = second_derivative_problem(5, np.sin)
+        with pytest.raises(DimensionMismatch):
+            problem.apply(np.ones(shape))
+
+    def test_exact_rhs_is_apply_of_exact_solution(self):
+        problem = second_derivative_problem(50, np.sin)
+        assert np.array_equal(problem.exact_rhs, problem.apply(problem.exact_solution))
+        assert problem.exact_rhs is problem.exact_rhs
+        assert not problem.exact_rhs.flags.writeable
+
+    def test_matrix_built_on_first_use_and_frozen(self):
+        problem = second_derivative_problem(30, np.sin)
+        problem.exact_rhs  # noqa: B018
+        problem.factorization  # noqa: B018
+        assert "matrix" not in vars(problem)
+        assert problem.matrix is problem.matrix
+        assert not problem.matrix.flags.writeable
+
+    def test_exact_solution_admitted_as_frozen_copy(self):
+        values = np.linspace(0.0, 1.0, 6)
+        problem = problems.TestProblem(values)
+        values[0] = 5.0
+        assert problem.exact_solution[0] == 0.0
+        assert not problem.exact_solution.flags.writeable
+        with pytest.raises(DomainError):
+            problems.TestProblem([0.0, float("nan")])
+
+    def test_sweep_builds_no_square_array(self, monkeypatch):
+        n = 500
+        built = []
+
+        def recording(size, u_fn):
+            built.append(second_derivative_problem(size, u_fn))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "second_derivative_problem", recording)
+        tracemalloc.start()
+        try:
+            rows = cli.run_derivative_bench([n], "sin_2pi", 0.01, [0, 1], DiscrepancyRule(1.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 4 and all(row.iterations >= 0 for row in rows)
+        assert len(built) == 1 and "matrix" not in vars(built[0])
+        # one N x N float64 array alone would reach this
+        assert peak < n * n * 8
+
+
 class TestClosedFormFactorization:
     @pytest.mark.parametrize("n", [2, 3, 10, 100, 500])
     def test_diag_matches_eigh(self, n):
@@ -172,6 +236,21 @@ class TestClosedFormFactorization:
             return SpectralFactorization(fact.u_basis, fact.v_basis, diag, fact.shape)
 
         monkeypatch.setattr(problems, "_dst2_factorization", perturbed)
+        problem = second_derivative_problem(n, np.sin)
+        with pytest.raises(FactorizationFailure, match="reconstruction defect"):
+            problem.factorization
+
+
+    @pytest.mark.parametrize("n", [2, 100, 500])
+    def test_operator_without_diagonal_cell_term_rejected(self, monkeypatch, n):
+        # the probe compares the DST-II spectrum with apply, so an error in
+        # the Green's-kernel derivation fails it too
+        exact = problems.TestProblem.apply
+
+        def dropped(self, x):
+            return exact(self, x) - np.asarray(x) / (6.0 * len(x) ** 2)
+
+        monkeypatch.setattr(problems.TestProblem, "apply", dropped)
         problem = second_derivative_problem(n, np.sin)
         with pytest.raises(FactorizationFailure, match="reconstruction defect"):
             problem.factorization
