@@ -18,11 +18,11 @@ from dsmg import (
     NoiseSpec,
     SpectralFactorization,
     add_noise,
+    cli,
     factorize_svd,
     problems,
     second_derivative_problem,
 )
-from dsmg import cli
 from dsmg.cli import _bench_cell
 from dsmg.linalg import _check_reconstruction
 from oracles import dst2_basis, greens_kernel
@@ -239,7 +239,6 @@ class TestClosedFormFactorization:
         problem = second_derivative_problem(n, np.sin)
         with pytest.raises(FactorizationFailure, match="reconstruction defect"):
             problem.factorization
-
 
     @pytest.mark.parametrize("n", [2, 100, 500])
     def test_operator_without_diagonal_cell_term_rejected(self, monkeypatch, n):
