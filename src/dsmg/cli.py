@@ -250,14 +250,17 @@ def cmd_derivative_bench(args, rule) -> int:
     return 0
 
 
+def _require_image_size(path, what, image, observed) -> None:
+    """MalformedFile unless the image read from path has the observed image's size."""
+    if image.pixels.shape != observed.pixels.shape:
+        size = f"{image.width} x {image.height}, image is {observed.width} x {observed.height}"
+        raise MalformedFile(f"{path}: {what} is {size}", 0)
+
+
 def _truth_errors(path, observed, restored):
     """Relative errors of the observed and restored images against a truth PGM."""
     truth = read_pgm(path)
-    if truth.pixels.shape != observed.pixels.shape:
-        raise MalformedFile(
-            f"{path}: truth is {truth.width} x {truth.height}, "
-            f"image is {observed.width} x {observed.height}", 0
-        )
+    _require_image_size(path, "truth", truth, observed)
     scale = float(np.linalg.norm(truth.pixels))
     if scale == 0:
         raise MalformedFile(f"{path}: truth image is identically zero", 0)
@@ -269,6 +272,7 @@ def _truth_errors(path, observed, restored):
 def cmd_deblur(args, rule) -> int:
     observed = read_pgm(args.image)
     psf = read_pgm(args.psf)
+    _require_image_size(args.psf, "point-spread function", psf, observed)
     # 8-bit quantization destroys the kernel's absolute scale; restore unit mass
     mass = float(psf.pixels.sum())
     if mass <= 0:
@@ -344,13 +348,14 @@ def main(argv=None) -> int:
         parser.error("--gamma applies only to --rule apriori")
     try:
         return args.func(args, _make_rule(args))
-    except (MalformedFile, OSError) as exc:
+    except (DsmgError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except DsmgError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (MalformedFile, OSError)) else 3
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

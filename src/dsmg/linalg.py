@@ -13,7 +13,8 @@ derived spectrum is always the real vector |s_i|^2. A basis is one of:
   blocks along axis 0, such as a fast sine transform that never stores B.
 
 ``_left_multiply`` and ``_adjoint_multiply`` are the only code that tells
-the three kinds apart; every check and product goes through them.
+the three kinds apart; every check and product goes through them, A X of a
+checked matrix or operator A included.
 
 One rule admits every input array of the package, ``_admitted``: a frozen
 copy with a checked shape and finite entries. Every operation is a pure
@@ -22,7 +23,8 @@ function, so values can be shared freely across threads.
 Factorizations are checked with Freivalds-style probes: X is a fixed-seed
 block of p = 8 standard normal columns, and for a defect matrix E the mean of
 ||E X||_F^2 is p ||E||_F^2, so ||E X||_F / sqrt(p) estimates the Frobenius
-defect from matrix-block products, with no dim x dim temporary. The seed is
+defect from matrix-block products, with no dim x dim temporary; ||A||_F is
+estimated from A X the same way. The seed is
 fixed and the global ``np.random`` state is never touched, so every check is
 deterministic.
 """
@@ -55,12 +57,6 @@ class _Transform(Protocol):
 
 
 _Basis = np.ndarray | _Transform | None
-
-
-class _Operator(Protocol):
-    """A linear map known only by its product A X with an n x p block."""
-
-    def apply(self, x: np.ndarray) -> np.ndarray: ...
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -159,7 +155,7 @@ class SpectralFactorization:
 
 
 def _left_multiply(basis: _Basis, vec: np.ndarray) -> np.ndarray:
-    """B vec for a basis of any of the three kinds."""
+    """B vec for a basis of any of the three kinds, or A vec for a checked A."""
     if basis is None:
         return vec
     if isinstance(basis, np.ndarray):
@@ -188,12 +184,13 @@ def factorize_svd(matrix) -> SpectralFactorization:
     The result is checked by a seeded probe estimate of the Frobenius
     reconstruction defect, ||U (S (V* X)) - A X||_F / sqrt(p) with X the
     n x p probe block (p = 8), against RECON_TOL_PER_DIM * min(m, n) *
-    ||A||_F. It costs about 2 * p * (m k + n k + m n) flops and builds no
-    m x n product. Both norms are taken of A / c, with c the largest real or
-    imaginary part of an entry in modulus (within sqrt(2) of max|A|), so the
-    test is relative at every scale and neither norm underflows; an all-zero
-    A factors. Raises FactorizationFailure if the iteration does not converge
-    or the check fails, and DomainError on non-finite input.
+    ||A||_F, with ||A||_F estimated as ||A X||_F / sqrt(p). It costs about
+    2 * p * (m k + n k + m n) flops and builds no m x n array. Both norms are
+    taken after dividing by c, the largest modulus of an entry of A X, so the
+    test is relative at every scale, subnormal ones included, and neither
+    norm underflows; an all-zero A factors. Raises FactorizationFailure if
+    the iteration does not converge or the check fails, and DomainError on
+    non-finite input.
     """
     a = np.asarray(matrix)
     if a.ndim != 2:
@@ -211,35 +208,26 @@ def factorize_svd(matrix) -> SpectralFactorization:
     return fact
 
 
-def _check_reconstruction(a: "np.ndarray | _Operator", fact: SpectralFactorization) -> None:
+def _check_reconstruction(a, fact: SpectralFactorization) -> None:
     """Raise FactorizationFailure unless U S V* reconstructs a.
 
-    The seeded probe test of ``factorize_svd``'s docstring, run through
-    ``_left_multiply`` / ``_adjoint_multiply`` for a basis of any kind. The
-    reference product A X comes from the dense matrix a, or from ``a.apply``
-    for an operator that is never assembled. An operator has no entries to
-    scale by, so A X is scaled by its own largest |entry| c, and ||A||_F in
-    the tolerance is its probe estimate ||A X / c||_F / sqrt(p). Any code
-    that factors a known matrix or operator calls it.
+    The seeded probe test of ``factorize_svd``'s docstring, for a basis of
+    any kind and for a dense matrix a or an operator a with ``apply`` that
+    is never assembled: only the product A X is read, through
+    ``_left_multiply``. Any code that factors a known matrix or operator
+    calls it.
     """
     u, s, v = fact.u_basis, fact.diag, fact.v_basis
     x = _probes(fact.shape[1])
-    if isinstance(a, np.ndarray):
-        # largest |Re| or |Im| of an entry, within sqrt(2) of max|A|; taken part
-        # by part because an m x n abs() temporary raised dense-1000's peak RSS
-        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-        peak = max(max(abs(part.max()), abs(part.min())) for part in parts) or 1.0
-        unit = a / peak
-        reference, scale = unit @ x, np.linalg.norm(unit)
-    else:
-        product = a.apply(x)
-        peak = float(np.max(np.abs(product))) or 1.0
-        reference = product / peak
-        scale = _probe_norm(reference)
+    product = _left_multiply(a, x)
+    peak = float(np.max(np.abs(product))) or 1.0
+    # part by part: numpy's complex / real takes 1 / peak, which overflows
+    # for a subnormal peak
+    reference = product.real / peak + 1j * (product.imag / peak)
     recon = _left_multiply(u, (s / peak)[:, None] * _adjoint_multiply(v, x))
     recon_defect = _probe_norm(recon - reference)
     # negated, so that a NaN defect from a transform fails too
-    if not recon_defect <= RECON_TOL_PER_DIM * min(fact.shape) * scale:
+    if not recon_defect <= RECON_TOL_PER_DIM * min(fact.shape) * _probe_norm(reference):
         raise FactorizationFailure(
             f"relative reconstruction defect {recon_defect:.3e} exceeds tolerance"
         )

@@ -39,7 +39,7 @@ Neither basis is stored as an array: V is a fast sine transform, applied
 by one real FFT of length 4N in O(N log N) time and O(N) memory, and U is
 the same transform with negated weights. The factorization passes the same
 orthonormality and reconstruction checks as ``factorize_svd``, run through
-the transform; the reconstruction probe takes its reference K X from
+the transform. The reconstruction check reads only K X, here from
 ``apply``, not from the matrix, so it checks the DST-II spectrum against the
 Green's-kernel formula, two independent derivations of K. ``factorize_svd``
 itself, and so ``dsmg solve`` on a matrix file, still factors by
@@ -86,12 +86,10 @@ class TestProblem:
         two prefix sums, one from each end, with no cancellation between
         large terms. K x = (h^2 / 6) x - h G x adds the diagonal-cell term.
         """
-        x = np.asarray(x)
         n = len(self.exact_solution)
-        if x.ndim not in (1, 2) or len(x) != n:
-            raise DimensionMismatch(f"input of shape {x.shape} does not match {(n, n)}")
+        x = _checked(x, n)
         h = 1.0 / n
-        mid = _midpoints(n) if x.ndim == 1 else _midpoints(n)[:, None]
+        mid = _along_rows(_midpoints(n), x)
         before = np.cumsum(mid * x, axis=0)
         after = np.zeros_like(before)
         after[:-1] = np.cumsum(((1.0 - mid) * x)[:0:-1], axis=0)[::-1]
@@ -148,6 +146,19 @@ class NoiseSpec:
             raise DomainError(f"seed={seed!r} must be a nonnegative integer")
 
 
+def _checked(data, n: int) -> np.ndarray:
+    """data as an array: a length-n vector or an n x p block, else DimensionMismatch."""
+    data = np.asarray(data)
+    if data.ndim not in (1, 2) or len(data) != n:
+        raise DimensionMismatch(f"input of shape {data.shape} does not match {(n, n)}")
+    return data
+
+
+def _along_rows(vec: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """vec shaped to scale the rows of data, a vector or a block along axis 0."""
+    return vec if data.ndim == 1 else vec[:, None]
+
+
 def _midpoints(n: int) -> np.ndarray:
     """The cell midpoints (i - 1/2) h, i = 1..n, h = 1/n."""
     return (np.arange(1, n + 1) - 0.5) * (1.0 / n)
@@ -185,37 +196,26 @@ class _SineBasis:
     def shape(self) -> tuple[int, int]:
         return (len(self.weights), len(self.weights))
 
-    def _scaled(self, data: np.ndarray, scale: float) -> np.ndarray:
-        """data * (scale * weights) along axis 0."""
-        w = scale * self.weights
-        return data * (w if data.ndim == 1 else w[:, None])
-
-    def _checked(self, data) -> np.ndarray:
-        data = np.asarray(data)
-        if data.ndim not in (1, 2) or len(data) != len(self.weights):
-            raise DimensionMismatch(f"input of shape {data.shape} does not match {self.shape}")
-        return data
-
     def apply(self, x) -> np.ndarray:
         """V x: a DST-III of the weighted coefficients."""
-        x = self._checked(x)
+        n = len(self.weights)
+        x = _checked(x, n)
         if np.iscomplexobj(x):
             return self.apply(x.real) + 1j * self.apply(x.imag)
-        n = len(self.weights)
         spectrum = np.zeros((2 * n + 1,) + x.shape[1:], dtype=complex)
         # irfft weighs bins 1..2N-1 by 2 / (4N)
-        spectrum.imag[1:n + 1] = self._scaled(x, -2.0 * n)
+        spectrum.imag[1:n + 1] = x * _along_rows(-2.0 * n * self.weights, x)
         return np.fft.irfft(spectrum, n=4 * n, axis=0)[1:2 * n:2]
 
     def adjoint(self, y) -> np.ndarray:
         """V* y: a DST-II, then the weights."""
-        y = self._checked(y)
+        n = len(self.weights)
+        y = _checked(y, n)
         if np.iscomplexobj(y):
             return self.adjoint(y.real) + 1j * self.adjoint(y.imag)
-        n = len(self.weights)
         padded = np.zeros((4 * n,) + y.shape[1:])
         padded[1:2 * n:2] = y
-        return self._scaled(np.fft.rfft(padded, axis=0)[1:n + 1].imag, -1.0)
+        return np.fft.rfft(padded, axis=0)[1:n + 1].imag * _along_rows(-self.weights, y)
 
 
 def _dst2_factorization(N: int) -> SpectralFactorization:

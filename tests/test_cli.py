@@ -1,6 +1,10 @@
 """Command-line surface: file formats, subcommands, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,23 @@ class TestDerivativeBench:
         assert any(line.split(",")[1] == "vr" for line in marked)
 
 
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["dsmg", "dsmg.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run(*args) -> str:
+            command = [sys.executable, "-W", "error", "-m", module, *args]
+            done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+            assert done.stderr == ""
+            return done.stdout
+
+        assert run("--version") == "dsmg 0.1.0\n"
+        lines = run("derivative-bench", "--N", "10", "--seeds", "0").splitlines()
+        assert lines[0].startswith("# dsmg derivative-bench csv schema=")
+        assert lines[1] == "N,method,iterations,relative_error,t_or_alpha,seed,delta_rel"
+
+
 class TestRuleOptions:
     """Each subcommand builds its rule once, before any file is read or any cell runs."""
 
@@ -445,6 +466,19 @@ class TestDeblur:
         captured = capsys.readouterr()
         assert code == 2
         assert "point-spread function is identically zero" in captured.err
+        assert captured.out == ""
+        assert not deblur_files["out"].exists()
+
+    def test_psf_of_other_shape_exits_2_without_output(self, deblur_files, capsys):
+        write_pgm(GrayImage(np.full((32, 24), 0.5)), deblur_files["psf"])
+        code = main(
+            ["deblur", str(deblur_files["observed"]), str(deblur_files["psf"]),
+             "--delta-rel", "0.01", "--out", str(deblur_files["out"])]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "MalformedFile" in captured.err
+        assert "point-spread function is 24 x 32, image is 32 x 32" in captured.err
         assert captured.out == ""
         assert not deblur_files["out"].exists()
 
