@@ -18,7 +18,7 @@ from .linalg import _require_positive
 from .solver import DiscrepancyRule, NoisyProblem, _newton_on_log_psi, _norm_and_slope, _synthesis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VRReport:
     """Outcome of one Tikhonov solve."""
 

@@ -29,7 +29,7 @@ from .linalg import _admitted, _require_positive, from_diagonal
 from .solver import NoisyProblem, SolveReport, StoppingRule, solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirculantProblem:
     """Periodic kernel, observed signal of the same period, and noise bound."""
 
@@ -46,7 +46,7 @@ class CirculantProblem:
         _require_positive(self.delta, "delta")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrayImage:
     """Grayscale image; pixels are floats indexed [row, column]."""
 

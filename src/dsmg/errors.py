@@ -14,7 +14,8 @@ class DomainError(DsmgError):
 
 
 class FactorizationFailure(DsmgError):
-    """The underlying SVD/eigen iteration did not converge."""
+    """The SVD/eigen iteration did not converge, or U S V* missed A in the reconstruction
+    check, as when ``TestProblem.factorization``'s DST-II spectrum disagrees with ``apply``."""
 
 
 class UnattainableDiscrepancy(DsmgError):

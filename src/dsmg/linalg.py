@@ -1,12 +1,12 @@
 """Thin spectral factorizations A = U S V* and the operations built on them.
 
-With k = min(m, n), a factorization stores the k singular triplets: bases U
-(m x k) and V (n x k) with orthonormal columns, and the k-entry diagonal of
-S. The diagonal may be complex (the DFT-diagonalized convolution case); the
-derived spectrum is always the real vector |s_i|^2. A basis is one of:
+With k = min(m, n), a factorization stores the k singular triplets, which fix
+its shape m x n: bases U (m x k) and V (n x k) with orthonormal columns, and
+the k-entry diagonal of S, possibly complex (the DFT-diagonalized convolution
+case); the derived spectrum is always the real vector |s_i|^2. A basis is:
 
-- ``None``, the identity, for a square side, so that diagonal systems of
-  FFT size never materialize an n x n identity matrix;
+- ``None``, the k x k identity, which counts k rows, so that diagonal
+  systems of FFT size never materialize an n x n identity matrix;
 - a dense array;
 - an orthonormal transform: a frozen object with ``shape``, ``apply(x)``
   (B x) and ``adjoint(y)`` (B* y), acting on 1-d vectors and on dim x p
@@ -29,7 +29,7 @@ fixed and the global ``np.random`` state is never touched, so every check is
 deterministic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Protocol
 
@@ -95,18 +95,18 @@ def _probe_norm(block: np.ndarray) -> float:
     return float(np.linalg.norm(block)) / np.sqrt(_PROBES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFactorization:
     """A = U S V* with k = min(m, n), orthonormal columns U (m x k) and V (n x k).
 
     ``u_basis`` / ``v_basis`` are each ``None``, a dense array or an
-    orthonormal transform (see the module docstring). ``None`` stands for a
-    k x k identity matrix, so only a basis of a side with k rows can be
-    omitted. ``diag`` and dense bases are admitted by ``_admitted``; a
-    transform is kept as given, after a check of its shape.
-    ``diag`` holds the k diagonal entries of S, possibly complex and in
-    caller-defined order (``factorize_svd`` sorts them nonincreasing,
-    ``from_diagonal`` preserves positional order).
+    orthonormal transform (see the module docstring); ``shape`` (m, n) is
+    read from their rows, ``None`` counting k = ``len(diag)``. Unless k =
+    min(m, n) and each stored basis has k columns, DimensionMismatch is
+    raised before any probe. ``diag`` and dense bases are admitted by
+    ``_admitted``; a transform is kept as given. ``diag`` holds the k entries
+    of S, possibly complex and in caller-defined order (``factorize_svd``
+    sorts them nonincreasing, ``from_diagonal`` preserves positional order).
 
     A stored basis B of ``dim`` rows must pass the orthonormality check
     ||B* (B X) - X||_F / sqrt(p) <= UNITARY_TOL_PER_DIM * dim, with X the
@@ -119,27 +119,28 @@ class SpectralFactorization:
     u_basis: _Basis
     v_basis: _Basis
     diag: np.ndarray
-    shape: tuple[int, int]
+    shape: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
-        m, n = self.shape
-        if m < 1 or n < 1:
-            raise DimensionMismatch(f"shape {self.shape} must be at least 1 x 1")
-        k = min(m, n)
-        object.__setattr__(self, "diag", _admitted(self.diag, "diag", (k,)))
+        diag = _admitted(self.diag, "diag", ndim=1)
         # compared, not squared: squaring would warn on the overflow it detects
-        if not np.all(np.abs(self.diag) <= MAX_SINGULAR_VALUE):
+        if not np.all(np.abs(diag) <= MAX_SINGULAR_VALUE):
             raise DomainError(f"|diag| exceeds {MAX_SINGULAR_VALUE:.3e}; |s_i|^2 overflows")
-        for name, basis, dim in (("u_basis", self.u_basis, m), ("v_basis", self.v_basis, n)):
-            if basis is None:
-                if dim != k:
-                    raise DimensionMismatch(f"{name} of {dim} rows cannot be the identity")
-                continue
-            if not hasattr(basis, "adjoint"):  # dense; a transform is kept as given
-                basis = _admitted(basis, name, (dim, k))
-                object.__setattr__(self, name, basis)
-            elif basis.shape != (dim, k):
+        k = len(diag)
+        bases = {"u_basis": self.u_basis, "v_basis": self.v_basis}
+        for name, basis in bases.items():  # dense; a transform is kept as given
+            if basis is not None and not hasattr(basis, "adjoint"):
+                bases[name] = _admitted(basis, name, ndim=2)
+        m, n = (k if basis is None else basis.shape[0] for basis in bases.values())
+        if min(m, n) != k:
+            raise DimensionMismatch(f"diag has shape {diag.shape}, expected {(min(m, n),)}")
+        stored = [(name, b, dim) for (name, b), dim in zip(bases.items(), (m, n)) if b is not None]
+        for name, basis, dim in stored:
+            if basis.shape != (dim, k):
                 raise DimensionMismatch(f"{name} has shape {basis.shape}, expected {(dim, k)}")
+        for name, value in (*bases.items(), ("diag", diag), ("shape", (m, n))):
+            object.__setattr__(self, name, value)
+        for name, basis, dim in stored:
             x = _probes(k)
             defect = _probe_norm(_adjoint_multiply(basis, _left_multiply(basis, x)) - x)
             # negated, so that a NaN defect from a transform fails too
@@ -203,7 +204,7 @@ def factorize_svd(matrix) -> SpectralFactorization:
         raise FactorizationFailure(str(exc)) from exc
     if hermitian:
         vh[s == 0] = u[:, s == 0].conj().T
-    fact = SpectralFactorization(u_basis=u, v_basis=vh.conj().T, diag=s, shape=a.shape)
+    fact = SpectralFactorization(u_basis=u, v_basis=vh.conj().T, diag=s)
     _check_reconstruction(a, fact)
     return fact
 
@@ -234,13 +235,9 @@ def _check_reconstruction(a, fact: SpectralFactorization) -> None:
 
 
 def from_diagonal(diag) -> SpectralFactorization:
-    """Factorization of a square diagonal matrix with identity bases.
+    """Factorization of the n x n diagonal matrix, n = len(diag), with identity bases.
 
     Entries may be complex; their positional order is preserved so that
     frequency-indexed diagonals stay aligned with their frequencies.
     """
-    d = np.asarray(diag)
-    if d.ndim != 1 or len(d) == 0:
-        raise DimensionMismatch("diag must be a nonempty 1-d sequence")
-    n = len(d)
-    return SpectralFactorization(u_basis=None, v_basis=None, diag=d, shape=(n, n))
+    return SpectralFactorization(None, None, diag)

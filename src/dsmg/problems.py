@@ -60,7 +60,7 @@ from .errors import DimensionMismatch, DomainError
 from .linalg import SpectralFactorization, _admitted, _check_reconstruction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestProblem:
     """The N x N second-derivative operator K, an exact solution u and b = K u.
 
@@ -229,7 +229,7 @@ def _dst2_factorization(N: int) -> SpectralFactorization:
     for w in (weights, negated):
         w.setflags(write=False)
     u, v = _SineBasis(negated), _SineBasis(weights)
-    return SpectralFactorization(u_basis=u, v_basis=v, diag=diag, shape=(N, N))
+    return SpectralFactorization(u_basis=u, v_basis=v, diag=diag)
 
 
 def standard_normal(spec: NoiseSpec, count: int) -> np.ndarray:

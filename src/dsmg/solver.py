@@ -62,7 +62,7 @@ class AprioriRule:
 StoppingRule = DiscrepancyRule | AprioriRule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyProblem:
     """A factorized operator, noisy right-hand side, noise bound and start point.
 
@@ -136,7 +136,7 @@ class NewtonResult(NamedTuple):
     residual_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one regularized solve."""
 

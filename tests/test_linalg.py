@@ -81,6 +81,7 @@ class TestFactorizeSvd:
         for a in cases + list(SYMMETRIC_CASES.values()) + [tiny_second_derivative_matrix()]:
             m, n = a.shape
             fact = factorize_svd(a)
+            assert fact.shape == a.shape
             defect = np.linalg.norm(to_matrix(fact) - a)
             assert defect <= 1e-10 * min(m, n) * np.linalg.norm(a)
 
@@ -144,6 +145,7 @@ class TestFactorizeSvd:
     def test_tall_bases_are_thin(self):
         a = np.random.default_rng(0).normal(size=(4000, 20))
         fact = factorize_svd(a)
+        assert fact.shape == a.shape
         assert fact.u_basis.shape == (4000, 20)
         assert fact.v_basis.shape == (20, 20)
 
@@ -333,7 +335,7 @@ class Permutation:
 class TestTransformBasis:
     def test_accepted_kept_and_used_by_products(self):
         basis = Permutation((2, 0, 1))
-        fact = SpectralFactorization(basis, None, np.array([3.0, 2.0, 1.0]), (3, 3))
+        fact = SpectralFactorization(basis, None, np.array([3.0, 2.0, 1.0]))
         assert fact.u_basis is basis
         dense = np.zeros((3, 3))
         dense[[2, 0, 1], [0, 1, 2]] = 1.0  # B e_i = e_order[i]
@@ -343,18 +345,18 @@ class TestTransformBasis:
         _check_reconstruction(dense * fact.diag, fact)
 
     def test_reconstruction_probe_runs_through_transform(self):
-        fact = SpectralFactorization(Permutation((1, 0)), None, np.array([2.0, 1.0]), (2, 2))
+        fact = SpectralFactorization(Permutation((1, 0)), None, np.array([2.0, 1.0]))
         with pytest.raises(FactorizationFailure, match="reconstruction defect"):
             _check_reconstruction(np.diag([2.0, 1.0]), fact)
 
     @pytest.mark.parametrize("gain", [1.0 + 1e-6, float("nan")])
     def test_rejected_unless_orthonormal(self, gain):
         with pytest.raises(DomainError, match="not orthonormal"):
-            SpectralFactorization(Permutation((1, 0), gain), None, np.array([1.0, 1.0]), (2, 2))
+            SpectralFactorization(Permutation((1, 0), gain), None, np.array([1.0, 1.0]))
 
     def test_rejected_on_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
-            SpectralFactorization(None, Permutation((1, 0)), np.array([1.0, 1.0, 1.0]), (3, 3))
+            SpectralFactorization(None, Permutation((1, 0)), np.array([1.0, 1.0, 1.0]))
 
 
 class TestValidation:
@@ -364,25 +366,25 @@ class TestValidation:
                 u_basis=np.array([[1.0, 0.0], [1.0, 1.0]]),
                 v_basis=None,
                 diag=np.array([1.0, 1.0]),
-                shape=(2, 2),
             )
 
     def test_rejects_identity_basis_of_tall_side(self):
+        # k < min(m, n): 3 x 3 with two singular triplets, though both bases are orthonormal
+        tall = np.eye(3)[:, :2]
         with pytest.raises(DimensionMismatch):
-            SpectralFactorization(
-                u_basis=None, v_basis=np.eye(1), diag=np.array([1.0]), shape=(2, 1)
-            )
+            SpectralFactorization(u_basis=tall, v_basis=tall, diag=np.array([1.0, 1.0]))
+        # k > min(m, n): a 2 x 3 basis has three columns but cannot be orthonormal;
+        # the shape rule must reject it before the probe would
+        with pytest.raises(DimensionMismatch, match=r"^diag has shape \(3,\), expected \(2,\)$"):
+            SpectralFactorization(u_basis=np.ones((2, 3)), v_basis=None, diag=np.ones(3))
 
-    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
-    def test_rejects_empty_shape(self, shape):
-        with pytest.raises(DimensionMismatch, match="must be at least 1 x 1"):
-            SpectralFactorization(u_basis=None, v_basis=None, diag=np.ones(0), shape=shape)
+    def test_rejects_empty_shape(self):
+        with pytest.raises(DimensionMismatch, match=r"^diag has shape \(0,\), expected nonempty 1-d$"):
+            SpectralFactorization(u_basis=None, v_basis=None, diag=np.ones(0))
 
     def test_rejects_wrong_diag_length(self):
         with pytest.raises(DimensionMismatch):
-            SpectralFactorization(
-                u_basis=None, v_basis=None, diag=np.array([1.0]), shape=(2, 2)
-            )
+            SpectralFactorization(u_basis=np.eye(2), v_basis=None, diag=np.array([1.0]))
 
     @pytest.mark.parametrize("entry", [1.35e154, -1e200, 1e154 + 1e154j, 1e308 + 1e308j])
     def test_rejects_diag_whose_square_overflows(self, entry):
@@ -428,7 +430,6 @@ class TestOrthonormalityCheck:
                     u_basis=perturb_one_column(basis, rng, 1e-8),
                     v_basis=None,
                     diag=np.ones(n),
-                    shape=(n, n),
                 )
 
     def test_eigh_basis_at_1000_accepted_and_1e_6_perturbation_rejected(self):
@@ -440,7 +441,6 @@ class TestOrthonormalityCheck:
                 fact.u_basis,
                 perturb_one_column(fact.v_basis, np.random.default_rng(0), 1e-6),
                 fact.diag,
-                fact.shape,
             )
 
 
@@ -506,7 +506,7 @@ class TestReconstructionCheck:
                 continue
             fact = factorize_svd(matrix)
             swapped = SpectralFactorization(
-                fact.u_basis, fact.v_basis, fact.diag[[1, 0, *range(2, len(fact.diag))]], fact.shape
+                fact.u_basis, fact.v_basis, fact.diag[[1, 0, *range(2, len(fact.diag))]]
             )
             _check_reconstruction(DenseOperator(matrix), fact)
             for reference in (matrix, DenseOperator(matrix)):
@@ -542,12 +542,13 @@ ADMITTED = {
     "f_delta": (lambda v: _noisy(f_delta=v).f_delta, np.ones(3), _ONE_D_MALFORMED),
     "u0": (lambda v: _noisy(u0=v).u0, np.ones(3), _ONE_D_MALFORMED),
     "diag": (
-        lambda v: SpectralFactorization(None, None, v, (3, 3)).diag,
+        # k pinned by the 3 x 3 basis, so that another length is a malformed diag
+        lambda v: SpectralFactorization(np.eye(3), None, v).diag,
         np.ones(3),
         _ONE_D_MALFORMED,
     ),
     "u_basis": (
-        lambda v: SpectralFactorization(v, None, np.ones(3), (3, 3)).u_basis,
+        lambda v: SpectralFactorization(v, None, np.ones(3)).u_basis,
         np.eye(3),
         (np.eye(4), np.eye(3)[:, :2], np.ones(3), np.ones((0, 3))),
     ),

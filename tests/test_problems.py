@@ -220,7 +220,7 @@ class TestClosedFormFactorization:
         assert relative_gap(fact.v_basis.apply(block), dense @ block) <= 1e-14
         assert relative_gap(fact.u_basis.adjoint(block), -dense.T @ block) <= 1e-14
         # rebuilding reruns the orthonormality check on both bases
-        SpectralFactorization(fact.u_basis, fact.v_basis, fact.diag, fact.shape)
+        SpectralFactorization(fact.u_basis, fact.v_basis, fact.diag)
         _check_reconstruction(problem.matrix, fact)
         assert np.all(fact.diag > 0)
         assert np.all(np.diff(fact.diag) < 0)
@@ -233,7 +233,7 @@ class TestClosedFormFactorization:
             fact = build(size)
             diag = fact.diag.copy()
             diag[0] *= 1.0 + 1e-6
-            return SpectralFactorization(fact.u_basis, fact.v_basis, diag, fact.shape)
+            return SpectralFactorization(fact.u_basis, fact.v_basis, diag)
 
         monkeypatch.setattr(problems, "_dst2_factorization", perturbed)
         problem = second_derivative_problem(n, np.sin)
@@ -297,7 +297,7 @@ class TestSineBasis:
         bad = replace(fact.v_basis, weights=weights)
         for u_basis, v_basis in ((fact.u_basis, bad), (replace(bad, weights=-bad.weights), fact.v_basis)):
             with pytest.raises(DomainError, match="not orthonormal"):
-                SpectralFactorization(u_basis, v_basis, fact.diag, fact.shape)
+                SpectralFactorization(u_basis, v_basis, fact.diag)
 
 
 class TestSweepWithoutDenseBases:
@@ -306,7 +306,7 @@ class TestSweepWithoutDenseBases:
         problem = second_derivative_problem(n, np.sin)
         fast = problem.factorization
         v = dst2_basis(n)
-        dense = SpectralFactorization(-v, v, fast.diag, fast.shape)
+        dense = SpectralFactorization(-v, v, fast.diag)
         for seed in range(3):
             got = _bench_cell(problem, fast, 0.01, seed, DiscrepancyRule(1.1))
             want = _bench_cell(problem, dense, 0.01, seed, DiscrepancyRule(1.1))

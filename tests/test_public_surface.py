@@ -1,5 +1,7 @@
 """The package's public names: exactly the agreed list, and no test oracles."""
 
+import numpy as np
+
 import dsmg
 
 PUBLIC = [
@@ -64,3 +66,31 @@ def test_public_surface():
         assert getattr(dsmg, name) is not None
     for name in REMOVED:
         assert not hasattr(dsmg, name), name
+
+
+def _array_records():
+    """One value of each frozen record that holds arrays, built by a fresh call."""
+    problem = dsmg.NoisyProblem(dsmg.from_diagonal([2.0, 1.0, 0.5]), np.ones(3), 0.1)
+    return [
+        dsmg.from_diagonal([1.0, 2.0]),
+        problem,
+        dsmg.solve(problem, dsmg.DiscrepancyRule(1.1)),
+        dsmg.vr_solve(problem, dsmg.DiscrepancyRule(1.1)),
+        dsmg.GrayImage(np.ones((2, 2))),
+        dsmg.CirculantProblem(np.ones(3), np.ones(3), 0.1),
+        dsmg.second_derivative_problem(4, float),
+    ]
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # generated value equality would compare arrays, whose truth value is
+    # ambiguous, and a generated hash would hash them, which is a TypeError
+    for first, second in zip(_array_records(), _array_records()):
+        assert type(first) is type(second)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+        assert first in [second, first]
+    # records of scalars keep value equality
+    for make in (lambda: dsmg.DiscrepancyRule(1.1), lambda: dsmg.AprioriRule(),
+                 lambda: dsmg.NoiseSpec(0.01, 0)):
+        assert make() == make() and hash(make()) == hash(make())

@@ -236,7 +236,7 @@ def test_symmetric_factorization_matches_svd_oracle(seed):
     base = second_derivative_problem(200, lambda x: math.sin(2.0 * math.pi * x))
     assert np.array_equal(base.matrix, base.matrix.T)
     u, s, vh = np.linalg.svd(base.matrix)
-    oracle = SpectralFactorization(u_basis=u, v_basis=vh.T, diag=s, shape=base.matrix.shape)
+    oracle = SpectralFactorization(u_basis=u, v_basis=vh.T, diag=s)
     rhs, delta = add_noise(base.exact_rhs, NoiseSpec(0.01, seed))
     fast = NoisyProblem(factorize_svd(base.matrix), rhs, delta)
     slow = NoisyProblem(oracle, rhs, delta)
