@@ -3,7 +3,11 @@
 With k = min(m, n), a factorization stores the k singular triplets, which fix
 its shape m x n: bases U (m x k) and V (n x k) with orthonormal columns, and
 the k-entry diagonal of S, possibly complex (the DFT-diagonalized convolution
-case); the derived spectrum is always the real vector |s_i|^2. A basis is:
+case); the derived spectrum is always the real vector |s_i|^2. A Hermitian
+A is stored as its eigendecomposition A = Q diag(l) Q*: one basis Q on both
+sides and the signed eigenvalues l as S, with no sign moved into a second
+basis, since every product reads S only through |s_i|^2 and conj(s_i). A
+basis is:
 
 - ``None``, the k x k identity, which counts k rows, so that diagonal
   systems of FFT size never materialize an n x n identity matrix;
@@ -95,6 +99,19 @@ def _probe_norm(block: np.ndarray) -> float:
     return float(np.linalg.norm(block)) / np.sqrt(_PROBES)
 
 
+def _admitted_basis(basis: _Basis, name: str) -> _Basis:
+    """A dense basis admitted by ``_admitted``; a transform kept if its shape is a pair of ints."""
+    if basis is None:
+        return None
+    if not hasattr(basis, "adjoint"):
+        return _admitted(basis, name, ndim=2)
+    shape = getattr(basis, "shape", None)
+    if not (isinstance(shape, tuple) and len(shape) == 2
+            and all(isinstance(dim, (int, np.integer)) for dim in shape)):
+        raise DimensionMismatch(f"{name} has shape {shape!r}, expected a pair of ints")
+    return basis
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralFactorization:
     """A = U S V* with k = min(m, n), orthonormal columns U (m x k) and V (n x k).
@@ -104,9 +121,14 @@ class SpectralFactorization:
     read from their rows, ``None`` counting k = ``len(diag)``. Unless k =
     min(m, n) and each stored basis has k columns, DimensionMismatch is
     raised before any probe. ``diag`` and dense bases are admitted by
-    ``_admitted``; a transform is kept as given. ``diag`` holds the k entries
-    of S, possibly complex and in caller-defined order (``factorize_svd``
-    sorts them nonincreasing, ``from_diagonal`` preserves positional order).
+    ``_admitted``; a transform is kept as given once its ``shape`` is a pair
+    of ints, else DimensionMismatch. A basis passed as both ``u_basis`` and
+    ``v_basis`` (U = V, an eigendecomposition) is admitted, stored and
+    probed once, so ``u_basis is v_basis`` holds on the result too. ``diag``
+    holds the k entries of S, possibly complex or negative and in
+    caller-defined order (``factorize_svd`` gives the ascending eigenvalues
+    of a Hermitian matrix and the nonincreasing singular values of any
+    other, ``from_diagonal`` preserves positional order).
 
     A stored basis B of ``dim`` rows must pass the orthonormality check
     ||B* (B X) - X||_F / sqrt(p) <= UNITARY_TOL_PER_DIM * dim, with X the
@@ -127,18 +149,18 @@ class SpectralFactorization:
         if not np.all(np.abs(diag) <= MAX_SINGULAR_VALUE):
             raise DomainError(f"|diag| exceeds {MAX_SINGULAR_VALUE:.3e}; |s_i|^2 overflows")
         k = len(diag)
-        bases = {"u_basis": self.u_basis, "v_basis": self.v_basis}
-        for name, basis in bases.items():  # dense; a transform is kept as given
-            if basis is not None and not hasattr(basis, "adjoint"):
-                bases[name] = _admitted(basis, name, ndim=2)
-        m, n = (k if basis is None else basis.shape[0] for basis in bases.values())
+        u = _admitted_basis(self.u_basis, "u_basis")
+        v = u if self.v_basis is self.u_basis else _admitted_basis(self.v_basis, "v_basis")
+        m, n = (k if basis is None else basis.shape[0] for basis in (u, v))
         if min(m, n) != k:
             raise DimensionMismatch(f"diag has shape {diag.shape}, expected {(min(m, n),)}")
-        stored = [(name, b, dim) for (name, b), dim in zip(bases.items(), (m, n)) if b is not None]
+        # a basis passed for both sides is admitted, stored and probed once
+        sides = [("u_basis", u, m)] if v is u else [("u_basis", u, m), ("v_basis", v, n)]
+        stored = [(name, basis, dim) for name, basis, dim in sides if basis is not None]
         for name, basis, dim in stored:
             if basis.shape != (dim, k):
                 raise DimensionMismatch(f"{name} has shape {basis.shape}, expected {(dim, k)}")
-        for name, value in (*bases.items(), ("diag", diag), ("shape", (m, n))):
+        for name, value in (("u_basis", u), ("v_basis", v), ("diag", diag), ("shape", (m, n))):
             object.__setattr__(self, name, value)
         for name, basis, dim in stored:
             x = _probes(k)
@@ -174,13 +196,14 @@ def _adjoint_multiply(basis: _Basis, vec: np.ndarray) -> np.ndarray:
 
 
 def factorize_svd(matrix) -> SpectralFactorization:
-    """Factor a dense matrix into the thin SVD A = U S V*, U m x k and V n x k.
+    """Factor a dense matrix as A = U S V*, U m x k and V n x k, k = min(m, n).
 
-    One ``np.linalg.svd`` call factors it, with ``hermitian=True`` for a
-    matrix exactly equal to its conjugate transpose: numpy runs ``eigh``,
-    sorts by |eigenvalue| and folds the signs into V. V's column of an
-    exact-zero S entry is then set to U's, which numpy releases that fold
-    sign(0) = 0 leave zero. The diagonal is real, nonnegative and nonincreasing.
+    A matrix exactly equal to its conjugate transpose is factored by one
+    ``np.linalg.eigh`` call into its eigendecomposition A = Q diag(l) Q*:
+    U and V are the one basis Q (``u_basis is v_basis``), and the diagonal
+    holds the real, signed eigenvalues l in eigh's ascending order. Any other
+    matrix is factored by one ``np.linalg.svd`` call into the thin SVD, with
+    a real, nonnegative and nonincreasing diagonal.
 
     The result is checked by a seeded probe estimate of the Frobenius
     reconstruction defect, ||U (S (V* X)) - A X||_F / sqrt(p) with X the
@@ -197,14 +220,16 @@ def factorize_svd(matrix) -> SpectralFactorization:
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got ndim {a.ndim}")
     _require_finite(a, "matrix")
-    hermitian = np.array_equal(a, a.conj().T)  # False unless square
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False, hermitian=hermitian)
+        if np.array_equal(a, a.conj().T):  # False unless square
+            diag, u = np.linalg.eigh(a)
+            v = u
+        else:
+            u, diag, vh = np.linalg.svd(a, full_matrices=False)
+            v = vh.conj().T
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(str(exc)) from exc
-    if hermitian:
-        vh[s == 0] = u[:, s == 0].conj().T
-    fact = SpectralFactorization(u_basis=u, v_basis=vh.conj().T, diag=s)
+    fact = SpectralFactorization(u_basis=u, v_basis=v, diag=diag)
     _check_reconstruction(a, fact)
     return fact
 

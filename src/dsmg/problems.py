@@ -32,18 +32,17 @@ basis diagonalizes it (Strang, "The Discrete Cosine Transform", SIAM Review
 
     V_jk = sqrt(2/N) sin((2j - 1) theta_k),  column N scaled by 1/sqrt(2).
 
-So K = U S V* with S_k = h^2 (1 / (4 sin^2 theta_k) - 1/6), positive and
-strictly decreasing in k, and U = -V, since every eigenvalue of K is
-negative (the hermitian SVD in ``factorize_svd`` negates V instead).
-Neither basis is stored as an array: V is a fast sine transform, applied
-by one real FFT of length 4N in O(N log N) time and O(N) memory, and U is
-the same transform with negated weights. The factorization passes the same
-orthonormality and reconstruction checks as ``factorize_svd``, run through
-the transform. The reconstruction check reads only K X, here from
+So K = V S V* with S_k = h^2 (1/6 - 1 / (4 sin^2 theta_k)), negative and
+strictly increasing in k: the eigendecomposition, with the eigenvalues in
+the ascending order of ``np.linalg.eigh``, and U = V is one basis. It is not
+stored as an array: V is a fast sine transform, applied by one real FFT of
+length 4N in O(N log N) time and O(N) memory. The factorization passes the
+same orthonormality and reconstruction checks as ``factorize_svd``, run
+through the transform. The reconstruction check reads only K X, here from
 ``apply``, not from the matrix, so it checks the DST-II spectrum against the
-Green's-kernel formula, two independent derivations of K. ``factorize_svd``
-itself, and so ``dsmg solve`` on a matrix file, still factors by
-``np.linalg.svd``.
+Green's-kernel formula, two independent derivations of K. ``factorize_svd``,
+and so ``dsmg solve`` on a matrix file, factors K by ``np.linalg.eigh``
+instead: a matrix read from a file is not known to belong to the family.
 
 Noise is generated by a Box-Muller transform over the PCG64 generator, so a
 seed pins the realization bit-for-bit across platforms, and is rescaled so
@@ -219,17 +218,18 @@ class _SineBasis:
 
 
 def _dst2_factorization(N: int) -> SpectralFactorization:
-    """The closed-form SVD K = U S V* of the N x N matrix, U = -V, V a DST-II."""
+    """The closed-form eigendecomposition K = V S V* of the N x N matrix, V a DST-II.
+
+    S is negative and ascending, the order of ``np.linalg.eigh`` of K.
+    """
     quarter = np.sin(np.arange(N + 1) * (np.pi / (2 * N)))
     h = 1.0 / N
-    diag = h * h * (0.25 / quarter[1:] ** 2 - 1.0 / 6.0)
+    diag = h * h * (1.0 / 6.0 - 0.25 / quarter[1:] ** 2)
     weights = np.full(N, np.sqrt(2.0 / N))
     weights[-1] *= np.sqrt(0.5)
-    negated = -weights
-    for w in (weights, negated):
-        w.setflags(write=False)
-    u, v = _SineBasis(negated), _SineBasis(weights)
-    return SpectralFactorization(u_basis=u, v_basis=v, diag=diag)
+    weights.setflags(write=False)
+    basis = _SineBasis(weights)
+    return SpectralFactorization(u_basis=basis, v_basis=basis, diag=diag)
 
 
 def standard_normal(spec: NoiseSpec, count: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Spectral factorization substrate: construction, products, pseudo-inverse."""
 
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from dsmg import (
     from_diagonal,
     second_derivative_problem,
 )
+from dsmg import linalg
 from dsmg.linalg import _check_reconstruction
 from oracles import adjoint_apply, apply, minimal_norm_solution, to_matrix
 
@@ -36,7 +38,7 @@ def hermitian_matrix(seed: int, n: int) -> np.ndarray:
 
 
 # square inputs equal to their conjugate transpose, which factorize_svd
-# factors by the hermitian svd (eigh)
+# factors by eigh into one basis and signed eigenvalues
 SYMMETRIC_CASES = {
     "indefinite": symmetric_matrix(1, [3.0, -2.0, 1.0, -0.5, 0.1]),
     "zero-eigenvalue": np.ones((4, 4)),  # eigenvalues 4, 0, 0, 0
@@ -66,11 +68,17 @@ class TestFactorizeSvd:
         assert np.allclose(to_matrix(fact), np.eye(3), atol=1e-12)
 
     def test_already_diagonal(self):
-        fact = factorize_svd(np.diag([3.0, 2.0]))
+        # symmetric: the signed eigenvalues, ascending
+        fact = factorize_svd(np.diag([3.0, -2.0]))
+        assert np.allclose(fact.diag, [-2.0, 3.0], atol=1e-14)
+        # general: the singular values, nonincreasing
+        fact = factorize_svd(np.array([[2.0, 0.0, 0.0], [0.0, -3.0, 0.0]]))
         assert np.allclose(fact.diag, [3.0, 2.0], atol=1e-14)
 
     def test_diag_sorted_nonincreasing(self):
-        for a in [random_matrix(3, 7, 5, 1e-3, 2.0), *SYMMETRIC_CASES.values()]:
+        # the rule of the general svd; symmetric input is sorted ascending
+        asymmetric = [one_ulp_asymmetric(a) for a in SYMMETRIC_CASES.values()]
+        for a in [random_matrix(3, 7, 5, 1e-3, 2.0), *asymmetric]:
             fact = factorize_svd(a)
             assert np.all(np.diff(fact.diag) <= 0)
             assert np.all(fact.diag >= 0)
@@ -98,49 +106,65 @@ class TestFactorizeSvd:
 
     @pytest.mark.parametrize("name", SYMMETRIC_CASES)
     def test_symmetric_diag_matches_singular_values(self, name):
+        # the real eigenvalues, ascending, whose moduli are the singular values
         a = SYMMETRIC_CASES[name]
+        diag = factorize_svd(a).diag
         expected = np.linalg.svd(a, compute_uv=False)
-        assert np.max(np.abs(factorize_svd(a).diag - expected)) <= 1e-12 * expected[0]
+        assert diag.dtype.kind == "f"
+        assert np.all(np.diff(diag) >= 0)
+        assert np.max(np.abs(np.sort(np.abs(diag))[::-1] - expected)) <= 1e-12 * expected[0]
+        eigenvalues = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(diag - eigenvalues)) <= 1e-12 * expected[0]
 
     @pytest.mark.parametrize("name", SYMMETRIC_CASES)
     def test_eigh_only_for_exactly_symmetric_input(self, name, monkeypatch):
-        # one svd call, hermitian (numpy's eigh path) only when A equals A* exactly
+        # one eigh call when A equals A* exactly, else one svd call
         calls = []
-        svd = np.linalg.svd
 
-        def spying_svd(*args, **kwargs):
-            calls.append(kwargs.get("hermitian", False))
-            return svd(*args, **kwargs)
+        def spy(name, function):
+            def spying(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return spying
 
-        monkeypatch.setattr(np.linalg, "svd", spying_svd)
+        for function in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, function, spy(function, getattr(np.linalg, function)))
         factorize_svd(SYMMETRIC_CASES[name])
-        assert calls == [True]
+        assert calls == ["eigh"]
         calls.clear()
         asymmetric = one_ulp_asymmetric(SYMMETRIC_CASES[name])
         fact = factorize_svd(asymmetric)
-        assert calls == [False]
+        assert calls == ["svd"]
         assert np.linalg.norm(to_matrix(fact) - asymmetric) <= 1e-12 * np.linalg.norm(asymmetric)
 
-    @pytest.mark.parametrize("fold", ["numpy", "sign"])
     @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), np.diag([1.0, 0.0]),
                                         np.diag([1.0, -0.0]), np.diag([-0.0, 2.0, 0.0])],
                              ids=["all-zero", "zero", "negative-zero", "both-zeros"])
-    def test_exact_zero_eigenvalue_takes_sign_plus_one(self, matrix, fold, monkeypatch):
-        # V's column of an exact-zero S entry is U's, whether numpy folds
-        # copysign(1, lam) into V (-1 at -0.0) or sign(lam) (0, a zero column)
-        svd = np.linalg.svd
-
-        def sign_fold_svd(a, **kwargs):
-            u, s, vh = svd(a, **kwargs)
-            vh[s == 0] = 0.0
-            return u, s, vh
-
-        if fold == "sign":
-            monkeypatch.setattr(np.linalg, "svd", sign_fold_svd)
+    def test_exact_zero_eigenvalue_takes_sign_plus_one(self, matrix):
+        # one basis for both sides, so V's column of an exact-zero S entry is U's
         fact = factorize_svd(matrix)
         zero = fact.diag == 0
         assert zero.any()
-        assert np.array_equal(fact.v_basis[:, zero], fact.u_basis[:, zero])
+        assert fact.u_basis is fact.v_basis
+        assert np.linalg.norm(to_matrix(fact) - matrix) <= 1e-14
+
+    @pytest.mark.parametrize("name", SYMMETRIC_CASES)
+    def test_symmetric_input_stores_one_basis_probed_once(self, name, monkeypatch):
+        # one orthonormality probe for the shared basis and one reconstruction probe
+        drawn = []
+        probes = linalg._probes
+        monkeypatch.setattr(linalg, "_probes", lambda rows: drawn.append(rows) or probes(rows))
+        fact = factorize_svd(SYMMETRIC_CASES[name])
+        assert fact.u_basis is fact.v_basis
+        assert len(drawn) == 2
+        drawn.clear()
+        problem = second_derivative_problem(len(fact.diag), np.sin)
+        assert problem.factorization.u_basis is problem.factorization.v_basis
+        assert len(drawn) == 2
+        drawn.clear()
+        fact = factorize_svd(one_ulp_asymmetric(SYMMETRIC_CASES[name]))
+        assert fact.u_basis is not fact.v_basis
+        assert len(drawn) == 3
 
     def test_tall_bases_are_thin(self):
         a = np.random.default_rng(0).normal(size=(4000, 20))
@@ -169,14 +193,16 @@ class TestFactorizeSvd:
         with pytest.raises(DimensionMismatch, match=f"expected a 2-d array, got ndim {len(shape)}"):
             factorize_svd(np.ones(shape))
 
-    @pytest.mark.parametrize("matrix", [np.eye(3), random_matrix(4, 5, 3, 0.1, 2.0)],
-                             ids=["hermitian", "general"])
-    def test_nonconvergence_is_factorization_failure(self, matrix, monkeypatch):
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+    @pytest.mark.parametrize("function, matrix, message", [
+        ("eigh", np.eye(3), "Eigenvalues did not converge"),
+        ("svd", random_matrix(4, 5, 3, 0.1, 2.0), "SVD did not converge"),
+    ], ids=["hermitian", "general"])
+    def test_nonconvergence_is_factorization_failure(self, function, matrix, message, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(FactorizationFailure, match="^SVD did not converge$"):
+        monkeypatch.setattr(np.linalg, function, failing)
+        with pytest.raises(FactorizationFailure, match=f"^{message}$"):
             factorize_svd(matrix)
 
 
@@ -332,6 +358,31 @@ class Permutation:
         return self.gain * y[list(self.order)]
 
 
+@dataclass(frozen=True)
+class Shaped:
+    """``transform`` with its ``shape`` replaced."""
+
+    transform: Permutation
+    shape: object
+
+    def apply(self, x):
+        return self.transform.apply(x)
+
+    def adjoint(self, y):
+        return self.transform.adjoint(y)
+
+
+_IDENTITY = Permutation((0, 1, 2))
+# a 3 x 3 identity transform whose shape is not a pair of ints
+MALFORMED_TRANSFORMS = {
+    "empty-shape": Shaped(_IDENTITY, ()),
+    "int-shape": Shaped(_IDENTITY, 3),
+    "none-shape": Shaped(_IDENTITY, None),
+    "float-shape": Shaped(_IDENTITY, (3.0, 3.0)),
+    "no-shape": types.SimpleNamespace(apply=_IDENTITY.apply, adjoint=_IDENTITY.adjoint),
+}
+
+
 class TestTransformBasis:
     def test_accepted_kept_and_used_by_products(self):
         basis = Permutation((2, 0, 1))
@@ -357,6 +408,11 @@ class TestTransformBasis:
     def test_rejected_on_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
             SpectralFactorization(None, Permutation((1, 0)), np.array([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("name", MALFORMED_TRANSFORMS)
+    def test_rejected_unless_shape_is_a_pair(self, name):
+        with pytest.raises(DimensionMismatch, match="^u_basis has shape .*, expected a pair of ints$"):
+            SpectralFactorization(MALFORMED_TRANSFORMS[name], None, np.ones(3))
 
 
 class TestValidation:
@@ -433,7 +489,7 @@ class TestOrthonormalityCheck:
                 )
 
     def test_eigh_basis_at_1000_accepted_and_1e_6_perturbation_rejected(self):
-        # factorize_svd itself checks both eigh bases; the thin 4000 x 20
+        # factorize_svd itself checks the eigh basis; the thin 4000 x 20
         # SVD bases are accepted in TestFactorizeSvd.test_tall_bases_are_thin
         fact = factorize_svd(second_derivative_problem(1000, np.sin).matrix)
         with pytest.raises(DomainError):
@@ -444,9 +500,10 @@ class TestOrthonormalityCheck:
             )
 
 
-# symmetric input and a corruption of the |eigenvalues| the hermitian svd returns
+# symmetric input and a corruption of the eigenvalues eigh returns
 WRONG_EIGENVALUE_CASES = {
     "swapped": (SYMMETRIC_CASES["indefinite"], lambda s: s[[1, 0, 2, 3, 4]]),
+    "one-sign-flipped": (SYMMETRIC_CASES["indefinite"], lambda s: s * [1, 1, 1, 1, -1]),
     "zeroed": (SYMMETRIC_CASES["indefinite"], np.zeros_like),
     "zeroed-tiny-norm": (tiny_second_derivative_matrix(), np.zeros_like),
 }
@@ -468,14 +525,13 @@ class TestReconstructionCheck:
     @pytest.mark.parametrize("case", WRONG_EIGENVALUE_CASES)
     def test_rejects_wrong_eigenvalues(self, case, monkeypatch):
         matrix, wrong = WRONG_EIGENVALUE_CASES[case]
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def wrong_svd(a, **kwargs):
-            assert kwargs["hermitian"]
-            u, s, vh = svd(a, **kwargs)
-            return u, wrong(s), vh
+        def wrong_eigh(a):
+            lam, q = eigh(a)
+            return wrong(lam), q
 
-        monkeypatch.setattr(np.linalg, "svd", wrong_svd)
+        monkeypatch.setattr(np.linalg, "eigh", wrong_eigh)
         with pytest.raises(FactorizationFailure):
             factorize_svd(matrix)
 
