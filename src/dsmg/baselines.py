@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionViolated
 from .linalg import _require_positive
-from .solver import DiscrepancyRule, NoisyProblem, _newton_on_log_psi, _norm_and_slope, _synthesis
+from .solver import (
+    DiscrepancyRule, NoisyProblem, _newton_on_log_psi, _norm_and_slope, _outcomes, _synthesis,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,48 +30,60 @@ class VRReport:
     newton_iterations: int
 
 
-def _vr_residual(problem: NoisyProblem, beta: float) -> tuple[float, float]:
-    """psi_vr(beta) and d psi_vr / d beta from one pass over the spectrum.
+def _vr_residual(problem: NoisyProblem, beta):
+    """psi_vr(beta) and d psi_vr / d beta of each row at its own beta, from one pass.
 
     Mode i keeps the fraction 1 / (1 + lam_i beta) of |r_i|, which decays at
     rate lam_i / (1 + lam_i beta).
     """
     lam = problem.factorization.eigenvalues
-    damping = lam * beta
+    damping = lam * problem._per_row(beta)[:, None]
     damping += 1.0
     np.reciprocal(damping, out=damping)
     rate = damping * lam
     return _norm_and_slope(problem, damping, rate)
 
 
-def tikhonov_solution(problem: NoisyProblem, alpha: float) -> np.ndarray:
-    """u_alpha = u0 + (A*A + alpha I)^-1 A* (f_delta - A u0): it regularizes toward u0."""
+def tikhonov_solution(problem: NoisyProblem, alpha) -> np.ndarray:
+    """u_alpha = u0 + (A*A + alpha I)^-1 A* (f_delta - A u0): it regularizes toward u0.
+
+    ``alpha`` is one value for every row or one per row; the states are
+    shaped as ``f_delta`` is.
+    """
     _require_positive(alpha, "alpha")
     fact = problem.factorization
-    return _synthesis(problem, fact.diag.conj() / (fact.eigenvalues + alpha))
+    return _synthesis(problem, fact.diag.conj() / (fact.eigenvalues + problem._column(alpha)))
 
 
-def vr_solve(problem: NoisyProblem, rule: DiscrepancyRule) -> VRReport:
-    """Pick alpha so the Tikhonov residual equals C * delta, then solve.
+def vr_solve(problem: NoisyProblem, rule: DiscrepancyRule):
+    """Pick alpha so the Tikhonov residual equals C * delta, then solve, on every row.
 
     ``rule`` is the flow's own DiscrepancyRule, so both methods stop by one
     admitted C; any other rule raises DomainError. Tikhonov regularizes
     toward the start point u0 of the problem, as the flow starts from it.
-    Raises UnattainableDiscrepancy when even alpha -> 0 cannot push the
-    residual below the target, and PreconditionViolated when
+    A row raises UnattainableDiscrepancy when even alpha -> 0 cannot push
+    its residual below the target, and PreconditionViolated when
     ||A u0 - f_delta|| is at, below or within the search tolerance of it.
+    Returns a VRReport for one right-hand side, and raises the row's error;
+    for a stack, a tuple with one outcome per row, as ``solve`` does.
     """
     if not isinstance(rule, DiscrepancyRule):
         raise DomainError(f"Tikhonov stops only by a DiscrepancyRule, not {rule!r}")
     search = _newton_on_log_psi(problem, _vr_residual, rule.C * problem.delta)
     # the search stops at beta = 0 when ||A u0 - f_delta|| is at, below or
     # within its tolerance of the target
-    if search.t_delta == 0.0:
-        raise PreconditionViolated("||A u0 - f_delta|| meets C*delta; only alpha -> inf fits")
-    alpha = 1.0 / search.t_delta
-    return VRReport(
-        alpha=alpha,
-        solution=tikhonov_solution(problem, alpha),
-        residual_norm=search.residual_norm,
-        newton_iterations=search.iterations,
+    failures = tuple(
+        PreconditionViolated("||A u0 - f_delta|| meets C*delta; only alpha -> inf fits")
+        if failure is None and beta == 0.0 else failure
+        for failure, beta in zip(search.failures, search.t_delta.tolist())
     )
+    solved = np.array([failure is None for failure in failures], dtype=bool)
+    # a failed row is synthesized at alpha = 1 with the others, and dropped
+    alpha = 1.0 / np.where(solved, search.t_delta, 1.0)
+    solutions = problem._stacked(tikhonov_solution(problem, problem._shaped(alpha)))
+    return _outcomes(problem, failures, lambda r: VRReport(
+        alpha=float(alpha[r]),
+        solution=solutions[r],
+        residual_norm=float(search.residual_norm[r]),
+        newton_iterations=int(search.iterations[r]),
+    ))

@@ -12,7 +12,7 @@ whitespace-separated finite decimals (vectors are m x 1 or 1 x n). Exit codes:
 3 solver error. Reruns with the same arguments reproduce CSV and PGM outputs
 byte for byte. ``solve`` and ``deblur`` take the same rule options and print
 the same report lines. Every subcommand builds its stopping rule before it
-reads a file or runs a benchmark cell, so a bad rule constant exits 3 first.
+reads a file or runs a benchmark batch, so a bad rule constant exits 3 first.
 """
 
 import argparse
@@ -188,33 +188,42 @@ def cmd_solve(args, rule) -> int:
     return 0
 
 
-def _bench_cell(problem, fact, delta_rel, seed, rule):
-    """Run both methods, stopped by one discrepancy ``rule``, on one noise realization."""
-    noisy_rhs, delta_abs = add_noise(problem.exact_rhs, NoiseSpec(delta_rel, seed))
-    noisy = NoisyProblem(factorization=fact, f_delta=noisy_rhs, delta=delta_abs)
+def _bench_batch(problem, fact, delta_rel, seeds, rule):
+    """Run both methods, stopped by one discrepancy ``rule``, on one noise draw per seed.
+
+    The draws are one batch: each method makes one search and one synthesis
+    for all of them, and a draw that fails yields its own row with
+    iterations -1.
+    """
     truth = problem.exact_solution
-    truth_norm = float(np.linalg.norm(truth))
     n = len(truth)
+    draws = [add_noise(problem.exact_rhs, NoiseSpec(delta_rel, seed)) for seed in seeds]
+    noisy = NoisyProblem(
+        factorization=fact,
+        # reshaped so that no seeds make a 0 x n stack, not an empty vector
+        f_delta=np.array([rhs for rhs, _ in draws]).reshape(len(draws), n),
+        delta=np.array([delta for _, delta in draws]),
+    )
+    truth_norm = float(np.linalg.norm(truth))
     rows = []
     for method, run, parameter in (("dsmg", solve, "t_delta"), ("vr", vr_solve, "alpha")):
-        try:
-            report = run(noisy, rule)
-            error = float(np.linalg.norm(report.solution - truth)) / truth_norm
-            result = (report.newton_iterations, error, getattr(report, parameter))
-        except DsmgError:
-            result = (-1, math.nan, math.nan)
-        rows.append(BenchmarkRow(n, method, *result, seed, delta_rel))
+        for seed, outcome in zip(seeds, run(noisy, rule)):
+            if isinstance(outcome, DsmgError):
+                result = (-1, math.nan, math.nan)
+            else:
+                error = float(np.linalg.norm(outcome.solution - truth)) / truth_norm
+                result = (outcome.newton_iterations, error, getattr(outcome, parameter))
+            rows.append(BenchmarkRow(n, method, *result, seed, delta_rel))
     return rows
 
 
 def run_derivative_bench(n_values, u_choice, delta_rel, seeds, rule):
-    """Benchmark sweep; rows come back sorted by (N, method, seed)."""
+    """Benchmark sweep, one batch of noise draws per N; rows sorted by (N, method, seed)."""
     u_fn = SOLUTION_CHOICES[u_choice]
     rows = []
     for n in n_values:
         problem = second_derivative_problem(n, u_fn)
-        for seed in seeds:
-            rows.extend(_bench_cell(problem, problem.factorization, delta_rel, seed, rule))
+        rows.extend(_bench_batch(problem, problem.factorization, delta_rel, seeds, rule))
     rows.sort(key=lambda r: (r.N, r.method, r.seed))
     return rows
 

@@ -84,8 +84,8 @@ def _admitted(values, name: str, shape=None, *, ndim=None, dtype=None) -> np.nda
 
 
 def _require_positive(value, name: str) -> None:
-    """The admission rule of a scalar bound: positive and finite, or DomainError."""
-    if not (np.isfinite(value) and value > 0):
+    """The admission rule of a bound, or of each in an array: positive and finite, or DomainError."""
+    if not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
         raise DomainError(f"{name}={value} must be positive and finite")
 
 

@@ -185,8 +185,10 @@ class _SineBasis:
     For z_(2j-1) = y_j, the DFT gives -Im rfft(z)_k = sum_j y_j
     sin((2j - 1) k pi / (2N)), which is V* y before the weights, and irfft
     of -i a_k yields the same sines at the odd indices, which is V x. Acts on
-    1-d vectors and on N x p blocks along axis 0; complex input is split into
-    its real and imaginary parts.
+    1-d vectors and on N x p blocks along axis 0, each column by its own FFT
+    along the last axis of a p x 4N buffer, so a block made from the rows of
+    a k x N stack reads and writes contiguous rows; complex input is split
+    into its real and imaginary parts.
     """
 
     weights: np.ndarray
@@ -201,10 +203,11 @@ class _SineBasis:
         x = _checked(x, n)
         if np.iscomplexobj(x):
             return self.apply(x.real) + 1j * self.apply(x.imag)
-        spectrum = np.zeros((2 * n + 1,) + x.shape[1:], dtype=complex)
+        # each column is transformed along the last axis, where numpy's FFT is fastest
+        spectrum = np.zeros(x.shape[1:] + (2 * n + 1,), dtype=complex)
         # irfft weighs bins 1..2N-1 by 2 / (4N)
-        spectrum.imag[1:n + 1] = x * _along_rows(-2.0 * n * self.weights, x)
-        return np.fft.irfft(spectrum, n=4 * n, axis=0)[1:2 * n:2]
+        spectrum.imag[..., 1:n + 1] = x.T * (-2.0 * n * self.weights)
+        return np.fft.irfft(spectrum, n=4 * n, axis=-1)[..., 1:2 * n:2].T
 
     def adjoint(self, y) -> np.ndarray:
         """V* y: a DST-II, then the weights."""
@@ -212,9 +215,9 @@ class _SineBasis:
         y = _checked(y, n)
         if np.iscomplexobj(y):
             return self.adjoint(y.real) + 1j * self.adjoint(y.imag)
-        padded = np.zeros((4 * n,) + y.shape[1:])
-        padded[1:2 * n:2] = y
-        return np.fft.rfft(padded, axis=0)[1:n + 1].imag * _along_rows(-self.weights, y)
+        padded = np.zeros(y.shape[1:] + (4 * n,))
+        padded[..., 1:2 * n:2] = y.T
+        return (np.fft.rfft(padded, axis=-1)[..., 1:n + 1].imag * -self.weights).T
 
 
 def _dst2_factorization(N: int) -> SpectralFactorization:
@@ -244,8 +247,14 @@ def standard_normal(spec: NoiseSpec, count: int) -> np.ndarray:
 
 
 def add_noise(b, spec: NoiseSpec) -> tuple[np.ndarray, float]:
-    """Return (b + e, delta_abs) with ||e|| = delta_rel * ||b|| exactly."""
-    b = np.asarray(b, dtype=float)
+    """Return (b + e, delta_abs) with ||e|| = delta_rel * ||b|| exactly.
+
+    ``b`` is admitted as a real vector: complex or non-finite data raises
+    DomainError, and data of another dimension DimensionMismatch.
+    """
+    if np.iscomplexobj(b):
+        raise DomainError("b must be real: the noise model draws real noise")
+    b = _admitted(b, "b", ndim=1, dtype=float)
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
         raise DomainError("cannot scale noise relative to a zero right-hand side")

@@ -11,6 +11,13 @@ one kernel, ``_norm_and_slope``, the state from one synthesis
 u = u0 + V (gains * r0), and the parameter from one Newton search on the
 convex, decreasing log psi from 0, ``_newton_on_log_psi``: one pass at 0 and
 one per iteration. ``solve`` also offers the a priori time t = C / delta**gamma.
+
+A problem holds one right-hand side or a k x m stack of them, one per row,
+that share the factorization: the noise draws of one experiment. The rows
+are solved together, not one by one. Each transform acts on all rows as one
+block, each pass damps all rows at their own t, and the Newton search steps
+all rows in lockstep; a row whose search fails is recorded, and the others
+go on. A single right-hand side is the one-row case of the same code.
 """
 
 import math
@@ -21,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DomainError,
+    DsmgError,
     IterationBudgetExceeded,
     UnattainableDiscrepancy,
 )
@@ -64,43 +73,79 @@ StoppingRule = DiscrepancyRule | AprioriRule
 
 @dataclass(frozen=True, eq=False)
 class NoisyProblem:
-    """A factorized operator, noisy right-hand side, noise bound and start point.
+    """A factorized operator, noisy right-hand sides, their noise bounds and a start point.
 
-    ``delta`` bounds the data error ||f_delta - f|| in the same norm as
-    ``f_delta``. ``u0`` defaults to the zero vector; both regularizers start
-    from it. Every all-zero start is stored as a real zero vector, so it
-    solves exactly as the default does.
+    ``f_delta`` is one right-hand side of length m, or a k x m stack of
+    them, one per row (k may be 0). ``delta`` bounds the data error
+    ||f_delta - f|| of each in the same norm: a float for one right-hand
+    side, an array of k for a stack. The rows share the factorization and
+    the start point. ``u0`` defaults to the zero vector; both regularizers
+    start from it. Every all-zero start is stored as a real zero vector, so
+    it solves exactly as the default does. The cached arrays are shaped as
+    ``f_delta`` is, one contiguous row per right-hand side, and a value per
+    row is a float for one right-hand side.
     """
 
     factorization: SpectralFactorization
     f_delta: np.ndarray
-    delta: float
+    delta: float | np.ndarray
     u0: np.ndarray | None = None
 
     def __post_init__(self):
         m, n = self.factorization.shape
-        object.__setattr__(self, "f_delta", _admitted(self.f_delta, "f_delta", (m,)))
-        _require_positive(self.delta, "delta")
+        rows = np.shape(self.f_delta)[:1] if np.ndim(self.f_delta) == 2 else ()
+        object.__setattr__(self, "f_delta", _admitted(self.f_delta, "f_delta", rows + (m,)))
+        delta = np.array(self.delta, dtype=float)
+        if delta.shape != rows:
+            raise DimensionMismatch(f"delta has shape {delta.shape}, expected {rows}")
+        _require_positive(delta, "delta")
+        delta.setflags(write=False)
+        object.__setattr__(self, "delta", delta if rows else float(delta))
         start = _admitted(np.zeros(n) if self.u0 is None else self.u0, "u0", (n,))
         object.__setattr__(self, "u0", start if start.any() else start.real)
+
+    @property
+    def _rows(self) -> int:
+        return len(self.f_delta) if self.f_delta.ndim == 2 else 1
+
+    def _stacked(self, values: np.ndarray) -> np.ndarray:
+        """Values shaped as ``f_delta`` is, viewed as k rows."""
+        return values.reshape(self._rows, values.shape[-1])
+
+    def _per_row(self, values) -> np.ndarray:
+        """A value for every row: an array of k, broadcast from a scalar."""
+        values = np.asarray(values, dtype=float)
+        return values if values.shape == (self._rows,) else np.full(self._rows, values)
+
+    def _column(self, values) -> np.ndarray:
+        """A value per row shaped to scale the rows: (k, 1), or (1,) for one right-hand side."""
+        return self._per_row(values).reshape(self.f_delta.shape[:-1] + (1,))
+
+    def _shaped(self, values: np.ndarray):
+        """Values per row as the caller sees them: a float for one right-hand side."""
+        return values if self.f_delta.ndim == 2 else float(values[0])
 
     @cached_property
     def rhs_coefficients(self) -> np.ndarray:
         """U* f_delta: the frozen f_delta itself for an identity U, else a fresh product."""
-        out = _adjoint_multiply(self.factorization.u_basis, self.f_delta)
+        basis = self.factorization.u_basis
+        if basis is None:
+            return self.f_delta
+        out = _row_product(_adjoint_multiply, basis, self.f_delta)
         out.setflags(write=False)
         return out
 
     @cached_property
-    def _off_range_norm(self) -> float:
-        """||f_delta - U U* f_delta||: the data no singular triplet reaches.
+    def _off_range_norm(self) -> np.ndarray:
+        """||f_delta - U U* f_delta|| of each row: the data no singular triplet reaches.
 
         It is 0 unless the system is tall, and it never decays.
         """
         fact = self.factorization
         if fact.shape[0] == len(fact.diag):
-            return 0.0
-        return _scaled_norm(self.f_delta - _left_multiply(fact.u_basis, self.rhs_coefficients))
+            return np.zeros(self._rows)
+        off = self.f_delta - _row_product(_left_multiply, fact.u_basis, self.rhs_coefficients)
+        return _scaled_norms(self._stacked(off))
 
     @cached_property
     def initial_residual_coefficients(self) -> np.ndarray:
@@ -123,17 +168,21 @@ class NoisyProblem:
         return out
 
     @cached_property
-    def residual_floor(self) -> float:
+    def residual_floor(self):
         """inf psi of both methods: r0 = U* f_delta on zero eigenvalues, and off range(U)."""
         stuck = self.factorization.eigenvalues == 0.0
-        return math.hypot(_scaled_norm(self.residual_weights[stuck]), self._off_range_norm)
+        on_range = _scaled_norms(self._stacked(self.residual_weights)[:, stuck])
+        return self._shaped(np.hypot(on_range, self._off_range_norm))
 
 
 class NewtonResult(NamedTuple):
-    t_delta: float
-    iterations: int
+    """The search of every row: its root, iterations, trace, psi at the root and failure."""
+
+    t_delta: np.ndarray
+    iterations: np.ndarray
     iterates: tuple
-    residual_norm: float
+    residual_norm: np.ndarray
+    failures: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,90 +197,121 @@ class SolveReport:
     diagnostics: tuple = field(default=())
 
 
-def evolution_filter(lam, t: float):
+def evolution_filter(lam, t):
     """Spectral gain (1 - exp(-t*lam)) / lam of the flow, with value t at lam = 0.
 
-    Accepts a scalar or an array of eigenvalues. Evaluated through expm1 so
-    tiny t*lam does not cancel; the result always lies in [0, t].
+    Accepts scalars or arrays of eigenvalues and of times, broadcast against
+    each other. Evaluated through expm1 so tiny t*lam does not cancel; the
+    result always lies in [0, t].
     """
     lam_arr = np.asarray(lam, dtype=float)
+    t_arr = np.asarray(t, dtype=float)
     # negated, so that NaN is rejected too
     if not np.all(lam_arr >= 0):
         raise DomainError("eigenvalues must be nonnegative")
-    if not (np.isfinite(t) and t >= 0):
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
         raise DomainError(f"t={t} must be nonnegative and finite")
-    gains = np.full(lam_arr.shape, t, dtype=float)
-    np.divide(-np.expm1(-t * lam_arr), lam_arr, out=gains, where=lam_arr > 0)
+    gains = np.full(np.broadcast_shapes(lam_arr.shape, t_arr.shape), t_arr)
+    np.divide(-np.expm1(-t_arr * lam_arr), lam_arr, out=gains, where=lam_arr > 0)
     # subnormal t*lam can round the quotient above the exact bound t
-    np.minimum(gains, t, out=gains)
-    if np.isscalar(lam) or lam_arr.ndim == 0:
+    np.minimum(gains, t_arr, out=gains)
+    if gains.ndim == 0:
         return float(gains)
     return gains
 
 
-def _synthesis(problem: NoisyProblem, gains: np.ndarray) -> np.ndarray:
-    """u = u0 + V (gains * r0), the state of either method; u0 outside span(V) never moves.
+def _row_product(multiply, basis, rows: np.ndarray) -> np.ndarray:
+    """multiply(basis, row) of every row, as one block along axis 0; the result rows contiguous."""
+    return np.ascontiguousarray(multiply(basis, rows.T).T)
 
-    ``gains`` must be fresh: the step overwrites it when r0's dtype casts to it."""
+
+def _synthesis(problem: NoisyProblem, gains: np.ndarray) -> np.ndarray:
+    """u = u0 + V (gains * r0) of every row, the state of either method.
+
+    u0 outside span(V) never moves. ``gains`` must be fresh: the step
+    overwrites it when r0's dtype casts to it.
+    """
     r0 = problem.initial_residual_coefficients
     step = np.multiply(gains, r0, out=gains) if np.can_cast(r0.dtype, gains.dtype) else gains * r0
-    out = _left_multiply(problem.factorization.v_basis, step)
+    out = _row_product(_left_multiply, problem.factorization.v_basis, step)
     out += problem.u0
     return out
 
 
-def solution_at(problem: NoisyProblem, t: float) -> np.ndarray:
-    """Evaluate the flow state u(t) in closed form.
+def solution_at(problem: NoisyProblem, t) -> np.ndarray:
+    """Evaluate the flow state u(t) in closed form, at one t for every row or at one t per row.
 
     u(t) = u0 + V diag(filter(lam_i, t) conj(s_i)) U* (f_delta - A u0), with
     the filter of ``evolution_filter``; at t = 0 the filter vanishes and
-    u(0) = u0.
+    u(0) = u0. The states are shaped as ``f_delta`` is, one row per
+    right-hand side.
     """
     fact = problem.factorization
-    return _synthesis(problem, evolution_filter(fact.eigenvalues, t) * fact.diag.conj())
+    gains = evolution_filter(fact.eigenvalues, problem._column(t))
+    return _synthesis(problem, gains * fact.diag.conj())
 
 
-def _scaled_norm(values: np.ndarray) -> float:
-    """Euclidean norm with rescaling: accurate even when the squares underflow."""
-    scale = float(np.max(np.abs(values), initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    return scale * float(np.linalg.norm(values / scale))
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b.
+
+    A stacked matmul of 1 x m by m x 1 blocks: bit-identical to np.dot of
+    each row pair, unlike einsum or (a * b).sum(1).
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _norm_and_slope(problem: NoisyProblem, damping, rate) -> tuple[float, float]:
-    """psi and psi' of a residual whose mode i keeps the fraction damping_i of |r0_i|.
+def _scaled_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rescaled: accurate even when the squares underflow."""
+    scale = np.max(np.abs(rows), axis=1, initial=0.0)
+    scaled = rows / np.where(scale == 0.0, 1.0, scale)[:, None]
+    parts = (scaled.real, scaled.imag) if np.iscomplexobj(scaled) else (scaled,)
+    return scale * np.sqrt(sum(_row_dots(part, part) for part in parts))
+
+
+def _norm_and_slope(problem: NoisyProblem, damping: np.ndarray, rate: np.ndarray):
+    """psi and psi' of each row's residual, whose mode i keeps the fraction damping_ri of |r0_ri|.
 
     The one residual kernel: both damping laws are real, so only the
-    ``residual_weights`` enter; mode i decays at ``rate_i``, and the data off
-    range(U) never decays. With d the damped weights, psi = ||(d, off_range)||
-    and psi' = -sum(rate * d**2) / psi. d is rescaled by its maximum before
-    squaring, so the squares underflow only where they are negligible.
-    ``damping`` is overwritten. psi' is reported as 0 when psi itself is 0.
+    ``residual_weights`` enter; mode i decays at ``rate_i`` (or ``rate_ri``),
+    and the data off range(U) never decays. With d the damped weights of a
+    row, psi = ||(d, off_range)|| and psi' = -sum(rate * d**2) / psi. d is
+    rescaled by its maximum before squaring, so the squares underflow only
+    where they are negligible. ``damping`` (k x len) is overwritten; each
+    row is reduced on its own, along its contiguous axis. psi' is reported
+    as 0 where psi itself is 0.
     """
-    damping *= problem.residual_weights
+    damping *= problem._stacked(problem.residual_weights)
     off_range = problem._off_range_norm
-    scale = max(float(damping.max(initial=0.0)), off_range)
-    if scale == 0.0:
-        return 0.0, 0.0
-    damping /= scale
+    scale = np.maximum(damping.max(axis=1, initial=0.0), off_range)
+    live = scale > 0.0
+    safe = np.where(live, scale, 1.0)
+    damping /= safe[:, None]
     damping *= damping
-    norm = math.sqrt(float(damping.sum()) + (off_range / scale) ** 2)
-    return scale * norm, -scale * float(np.dot(rate, damping)) / norm
+    # as in float arithmetic, an overflow in a product rounds to inf silently
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(damping.sum(axis=1) + (off_range / safe) ** 2)
+        psi = scale * norm
+        slope = np.divide(-scale * _row_dots(rate, damping), norm,
+                          out=np.zeros_like(norm), where=live)
+    return problem._shaped(psi), problem._shaped(slope)
 
 
-def _residual_pass(problem: NoisyProblem, t: float) -> tuple[float, float]:
-    """psi(t) and psi'(t) of the flow: mode i keeps exp(-t*lam_i), at rate lam_i."""
-    if not (np.isfinite(t) and t >= 0):
+def _residual_pass(problem: NoisyProblem, t):
+    """psi(t) and psi'(t) of the flow, each row at its own t.
+
+    Mode i keeps exp(-t*lam_i) and decays at rate lam_i.
+    """
+    times = problem._per_row(t)
+    if np.count_nonzero(~(np.isfinite(times) & (times >= 0))):
         raise DomainError(f"t={t} must be nonnegative and finite")
     lam = problem.factorization.eigenvalues
-    damping = lam * -t
+    damping = lam * -times[:, None]
     np.exp(damping, out=damping)
     return _norm_and_slope(problem, damping, lam)
 
 
-def discrepancy(problem: NoisyProblem, t: float) -> float:
-    """Residual norm psi(t) = ||A u(t) - f_delta|| evaluated spectrally.
+def discrepancy(problem: NoisyProblem, t):
+    """Residual norm psi(t) = ||A u(t) - f_delta|| of each row, evaluated spectrally.
 
     Modes with zero eigenvalue and the data outside range(U) keep their
     initial residual forever, so psi decreases monotonically from
@@ -240,66 +320,134 @@ def discrepancy(problem: NoisyProblem, t: float) -> float:
     return _residual_pass(problem, t)[0]
 
 
-def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target: float) -> NewtonResult:
-    """Solve psi(t) = target for t > 0 by Newton's method on log psi from t = 0.
+def _map_floats(function, values: np.ndarray) -> np.ndarray:
+    """function of each entry in float arithmetic.
+
+    numpy's SIMD log and power can differ from the C library's in the last
+    bit, and the scalar formulas of the search and of the a priori time
+    round as the C library does.
+    """
+    return np.fromiter(map(function, values.tolist()), dtype=float, count=len(values))
+
+
+def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target) -> NewtonResult:
+    """Solve psi(t) = target for t > 0 on every row by Newton's method on log psi from t = 0.
 
     t is the flow time for the gradient flow and beta = 1 / alpha for
-    Tikhonov. ``residual_pass(problem, t)`` returns psi(t) and psi'(t) from
-    one pass over the spectrum, and inf psi is ``problem.residual_floor``.
-    log psi must be convex and decreasing in t: then every Newton step from
-    a point left of the root stays left of it, so the iterates rise
-    monotonically. A step that rounding carries materially past the root is
-    replaced by bisection between the last point above the target and the
-    overshooting one.
-    Returns the root, the iteration count, the rising trace of points above
-    the target ending at the root, and psi at the root. If psi(0) already
-    meets the target, the result is t = 0 after that one pass, with no
-    iterations; this is the one place that decides it.
+    Tikhonov. ``residual_pass(problem, t)`` returns psi(t) and psi'(t) of
+    every row, each at its own t, from one pass over the spectrum, and inf
+    psi is ``problem.residual_floor``. log psi must be convex and decreasing
+    in t: then every Newton step from a point left of the root stays left of
+    it, so the iterates rise monotonically. A step that rounding carries
+    materially past the root is replaced by bisection between the last point
+    above the target and the overshooting one.
+    The rows step in lockstep, one pass per step, with the step, bracket and
+    bisection of each row its own; a row leaves the search when it meets its
+    target or fails. A failing row's typed error is recorded, and the other
+    rows go on. Returns per row the root, the iteration count, the rising
+    trace of points above the target ending at the root, psi at the root,
+    and the error or None. If psi(0) already meets the target, the row's
+    result is t = 0 after that one pass, with no iterations; this is the one
+    place that decides it.
     """
-    t = 0.0
-    psi, dpsi = residual_pass(problem, t)
-    if psi <= target:
-        return NewtonResult(t, 0, (t,), psi)
-    floor = problem.residual_floor
-    if floor >= target:
-        raise UnattainableDiscrepancy(
-            f"residual floor {floor:.6e} >= C*delta = {target:.6e}; "
+    k = problem._rows
+    target = problem._per_row(target)
+    failures = [None] * k
+    psi, dpsi = residual_pass(problem, problem._shaped(np.zeros(k)))
+    # t, psi and psi' of every row, updated in place
+    point = np.array([np.zeros(k), problem._per_row(psi), problem._per_row(dpsi)])
+    t, psi, dpsi = point
+    active = ~(psi <= target)
+
+    def fail(rows, error):
+        """Record error(r) for each of the active ``rows``, which leave the search."""
+        nonlocal active
+        rows = rows & active
+        if np.count_nonzero(rows):
+            for r in np.flatnonzero(rows):
+                failures[r] = error(r)
+            active = active & ~rows
+
+    if np.count_nonzero(active):
+        floor = problem._per_row(problem.residual_floor)
+        fail(floor >= target, lambda r: UnattainableDiscrepancy(
+            f"residual floor {floor[r]:.6e} >= C*delta = {target[r]:.6e}; "
             "C is too small or delta understates the noise"
-        )
+        ))
     tol = NEWTON_TOL_REL * target
-    upper = math.inf
-    iterates = []
-    iterations = 0
-    # negated so that a NaN psi enters the loop and is rejected there
-    while not abs(psi - target) <= tol:
-        if not math.isfinite(psi):
-            raise DomainError(f"residual norm {psi} at t={t:.6e} overflows double precision")
-        if iterations == NEWTON_MAX_ITER:
-            raise IterationBudgetExceeded(
-                f"Newton did not reach |psi - C*delta| <= {tol:.3e} "
+    log_target = _map_floats(math.log, target)
+    # the point of each row last above its target, and the t last below it
+    lower = np.array([np.zeros(k), np.ones(k), -np.ones(k)])
+    upper = np.full(k, math.inf)
+    bracketed = False  # whether any row has stepped below its target yet
+    iterations = np.zeros(k, dtype=int)
+    points, above_marks = [], []
+    while True:
+        # negated so that a NaN psi stays in the search and is rejected there
+        active &= ~(np.abs(psi - target) <= tol)
+        above = psi > target
+        # no row has more iterations than the search has steps
+        spent = len(points) == NEWTON_MAX_ITER
+        if spent or np.count_nonzero(active & ~(np.isfinite(psi) & ((dpsi < 0.0) | ~above))):
+            fail(~np.isfinite(psi), lambda r: DomainError(
+                f"residual norm {psi[r]} at t={t[r]:.6e} overflows double precision"
+            ))
+            fail(iterations == NEWTON_MAX_ITER, lambda r: IterationBudgetExceeded(
+                f"Newton did not reach |psi - C*delta| <= {tol[r]:.3e} "
                 f"in {NEWTON_MAX_ITER} iterations"
-            )
-        iterations += 1
-        if psi > target:
-            if not dpsi < 0.0:
-                raise IterationBudgetExceeded(f"residual slope degenerated to {dpsi} at t={t:.6e}")
-            lower, lower_psi, lower_dpsi = t, psi, dpsi
-            iterates.append(t)
-        else:
-            upper = t
-        # log(psi) - log(target), not log(psi / target): the ratio can overflow
-        t = lower + (math.log(lower_psi) - math.log(target)) * lower_psi / -lower_dpsi
-        if not lower < t < math.inf:
-            raise IterationBudgetExceeded(f"Newton step from t={lower:.6e} made no progress")
-        if t >= upper:
-            t = 0.5 * (lower + upper)
-        psi, dpsi = residual_pass(problem, t)
-    iterates.append(t)
-    return NewtonResult(t, iterations, tuple(iterates), psi)
+            ))
+            fail(above & ~(dpsi < 0.0), lambda r: IterationBudgetExceeded(
+                f"residual slope degenerated to {dpsi[r]} at t={t[r]:.6e}"
+            ))
+        if not np.count_nonzero(active):
+            break
+        iterations += active
+        above &= active
+        np.copyto(lower, point, where=above)
+        below = active & ~above
+        if np.count_nonzero(below):
+            np.copyto(upper, t, where=below)
+            bracketed = True
+        points.append(t.copy())
+        above_marks.append(above)
+        lo, lo_psi, lo_dpsi = lower
+        # as in float arithmetic, an overflowing step rounds to inf silently
+        with np.errstate(over="ignore"):
+            # log(psi) - log(target), not log(psi / target): the ratio can overflow
+            step = lo - (_map_floats(math.log, lo_psi) - log_target) * lo_psi / lo_dpsi
+            fail(~((lo < step) & (step < math.inf)), lambda r: IterationBudgetExceeded(
+                f"Newton step from t={lo[r]:.6e} made no progress"
+            ))
+            if bracketed:
+                np.copyto(step, 0.5 * (lo + upper), where=step >= upper)
+        if not np.count_nonzero(active):
+            break
+        np.copyto(t, step, where=active)
+        new_psi, new_dpsi = residual_pass(problem, problem._shaped(t))
+        np.copyto(psi, new_psi, where=active)
+        np.copyto(dpsi, new_dpsi, where=active)
+    trace = np.array(points + [t])
+    marks = np.array(above_marks + [np.ones(k, dtype=bool)])
+    iterates = tuple(tuple(trace[marks[:, r], r].tolist()) for r in range(k))
+    return NewtonResult(t, iterations, iterates, psi, tuple(failures))
 
 
-def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
-    """Run the flow to the stopping time chosen by ``rule``.
+def _outcomes(problem: NoisyProblem, failures, report):
+    """``report(r)`` of every row r, or the DsmgError that row raised.
+
+    A tuple, one outcome per row, for a stack; for one right-hand side, its
+    report, or its error raised.
+    """
+    outcomes = tuple(failure or report(r) for r, failure in enumerate(failures))
+    if problem.f_delta.ndim == 2:
+        return outcomes
+    if isinstance(outcomes[0], DsmgError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def solve(problem: NoisyProblem, rule: StoppingRule):
+    """Run the flow to the stopping time chosen by ``rule``, on every row.
 
     Discrepancy branch: the stopping time solves psi(t) = C * delta by
     Newton's method on log psi from t = 0. log psi(t) = 1/2 log sum_i
@@ -309,22 +457,32 @@ def solve(problem: NoisyProblem, rule: StoppingRule) -> SolveReport:
     satisfies ||A u0 - f_delta|| <= C * delta, the report returns u0 at
     t = 0 with a diagnostic flag.
     A priori branch: t = C / delta**gamma with no search; psi(t) is
-    evaluated once for the report.
+    evaluated once for the report, and a time that overflows raises
+    DomainError for the whole call.
+    Returns a SolveReport for one right-hand side, and raises the row's
+    DsmgError if its search fails. For a stack, returns a tuple with one
+    outcome per row, in order: its SolveReport or its DsmgError; one search
+    and one synthesis serve all rows.
     """
     if isinstance(rule, AprioriRule):
-        t_stop = rule.C / problem.delta ** rule.gamma
-        psi, iterations, at_start = discrepancy(problem, t_stop), 0, False
+        deltas = problem._per_row(problem.delta)
+        t_stop = _map_floats(lambda delta: rule.C / delta ** rule.gamma, deltas)
+        psi = problem._per_row(discrepancy(problem, problem._shaped(t_stop)))
+        iterations = np.zeros(problem._rows, dtype=int)
+        at_start = np.zeros(problem._rows, dtype=bool)
+        failures = (None,) * problem._rows
     elif isinstance(rule, DiscrepancyRule):
         target = rule.C * problem.delta
-        t_stop, iterations, _, psi = _newton_on_log_psi(problem, _residual_pass, target)
-        at_start = iterations == 0 and psi <= target
+        t_stop, iterations, _, psi, failures = _newton_on_log_psi(problem, _residual_pass, target)
+        at_start = (iterations == 0) & (psi <= target)
     else:
         raise DomainError(f"unknown stopping rule {rule!r}")
-    return SolveReport(
-        t_delta=t_stop,
-        solution=solution_at(problem, t_stop),
-        residual_norm=psi,
-        newton_iterations=iterations,
+    solutions = problem._stacked(solution_at(problem, problem._shaped(t_stop)))
+    return _outcomes(problem, failures, lambda r: SolveReport(
+        t_delta=float(t_stop[r]),
+        solution=solutions[r],
+        residual_norm=float(psi[r]),
+        newton_iterations=int(iterations[r]),
         rule_used=rule,
-        diagnostics=(FLAG_DISCREPANCY_AT_START,) if at_start else (),
-    )
+        diagnostics=(FLAG_DISCREPANCY_AT_START,) if at_start[r] else (),
+    ))

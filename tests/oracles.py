@@ -146,12 +146,21 @@ def landweber_integrate(problem: NoisyProblem, step: float, n_steps: int) -> np.
 
 
 def newton_solve_t(problem: NoisyProblem, C: float) -> solver.NewtonResult:
-    """The discrepancy search of ``solve``: psi(t) = C * delta from t = 0.
+    """The discrepancy search of ``solve`` on one right-hand side: psi(t) = C * delta from t = 0.
 
-    Both private names are looked up on ``solver`` at call time, so a test
-    that monkeypatches ``solver._residual_pass`` reaches this search too.
+    Returns the row's root, iterations, trace and psi as scalars and a tuple,
+    or raises the row's error. Both private names are looked up on
+    ``solver`` at call time, so a test that monkeypatches
+    ``solver._residual_pass`` reaches this search too.
     """
-    return solver._newton_on_log_psi(problem, solver._residual_pass, C * problem.delta)
+    result = solver._newton_on_log_psi(problem, solver._residual_pass, C * problem.delta)
+    (failure,) = result.failures
+    if failure is not None:
+        raise failure
+    return solver.NewtonResult(
+        float(result.t_delta[0]), int(result.iterations[0]), result.iterates[0],
+        float(result.residual_norm[0]), None,
+    )
 
 
 def dst2_basis(N: int) -> np.ndarray:
@@ -180,8 +189,7 @@ def eigh_derivative_bench(n_values, u_choice, delta_rel, seeds, rule) -> list:
     for n in n_values:
         problem = second_derivative_problem(n, u_fn)
         fact = factorize_svd(problem.matrix)
-        for seed in seeds:
-            rows.extend(cli._bench_cell(problem, fact, delta_rel, seed, rule))
+        rows.extend(cli._bench_batch(problem, fact, delta_rel, seeds, rule))
     rows.sort(key=lambda r: (r.N, r.method, r.seed))
     return rows
 

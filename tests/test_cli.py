@@ -19,6 +19,7 @@ from dsmg import (
     cli,
     factorize_svd,
     gaussian_psf,
+    problems,
     read_pgm,
     second_derivative_problem,
     synthetic_target,
@@ -235,6 +236,64 @@ class TestDerivativeBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
+    def test_empty_n_list_gives_header_only(self, capsys):
+        assert main(["derivative-bench", "--N", ""]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+
+    def test_duplicate_seeds_give_identical_rows(self, capsys):
+        assert main(["derivative-bench", "--N", "10,20", "--seeds", "1,0,1"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert len(rows) == 2 * 2 * 3
+        # sorted by (N, method, seed): each seed-1 pair is adjacent and identical
+        assert len(set(rows)) == 2 * 2 * 2
+        assert all(row.split(",")[5] == "1" for row in rows if rows.count(row) == 2)
+
+    def test_failed_draw_gets_its_own_row(self, capsys, monkeypatch):
+        # seed 3's noise bound is inflated until ||f|| <= C*delta: the flow
+        # stops flagged at t = 0 and Tikhonov has no alpha, so seed 3's vr
+        # rows read -1, and every row of every other seed is unchanged
+        args = ["derivative-bench", "--N", "10,20", "--seeds", "0,1,2,3,4"]
+        assert main(args) == 0
+        clean = capsys.readouterr().out.splitlines()
+        original = cli.add_noise
+
+        def inflated(b, spec):
+            noisy, delta = original(b, spec)
+            return noisy, 200.0 * delta if spec.seed == 3 else delta
+
+        monkeypatch.setattr(cli, "add_noise", inflated)
+        assert main(args) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(clean)
+        for before, after in zip(clean, lines):
+            fields = after.split(",")
+            if len(fields) < 6 or fields[5] != "3":
+                assert after == before
+            elif fields[1] == "vr":
+                assert fields[2:5] == ["-1", "nan", "nan"]
+            else:
+                assert fields[2:5] == ["0", "1.0", "0.0"]
+
+    def test_sine_transforms_grow_with_sizes_not_draws(self, capsys, monkeypatch):
+        # each size factors once and solves its ten draws as one batch: per
+        # size, the orthonormality and the reconstruction probe make one
+        # apply and one adjoint each, U* f of all draws is one adjoint, and
+        # each method's synthesis of all draws one apply
+        counts = {"apply": 0, "adjoint": 0}
+        for name in counts:
+            original = getattr(problems._SineBasis, name)
+
+            def counted(basis, x, original=original, name=name):
+                counts[name] += 1
+                return original(basis, x)
+
+            monkeypatch.setattr(problems._SineBasis, name, counted)
+        seeds = ",".join(str(seed) for seed in range(10))
+        assert main(["derivative-bench", "--N", "10,20", "--seeds", seeds]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 2 * 2 * 10
+        assert counts == {"apply": 2 * 4, "adjoint": 2 * 3}
+
     def test_bad_n_list_exits_2(self, capsys):
         assert main(["derivative-bench", "--N", "10,twenty"]) == 2
 
@@ -284,14 +343,14 @@ class TestModuleEntryPoints:
 
 
 class TestRuleOptions:
-    """Each subcommand builds its rule once, before any file is read or any cell runs."""
+    """Each subcommand builds its rule once, before any file is read or any batch runs."""
 
     @pytest.mark.parametrize("C", ["2.5", "0.5", "1.0"])
     def test_bench_inadmissible_C_exits_3_without_csv(self, C, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a benchmark cell ran")
+            raise AssertionError("a benchmark batch ran")
 
-        monkeypatch.setattr(cli, "_bench_cell", refuse)
+        monkeypatch.setattr(cli, "_bench_batch", refuse)
         code = main(["derivative-bench", "--N", "10", "--seeds", "0", "--C", C])
         captured = capsys.readouterr()
         assert code == 3

@@ -23,7 +23,7 @@ from dsmg import (
     problems,
     second_derivative_problem,
 )
-from dsmg.cli import _bench_cell
+from dsmg.cli import _bench_batch
 from dsmg.linalg import _check_reconstruction
 from oracles import dst2_basis, greens_kernel
 
@@ -305,20 +305,20 @@ class TestSineBasis:
 
 class TestSweepWithoutDenseBases:
     @pytest.mark.parametrize("n", [10, 57, 500])
-    def test_bench_cell_matches_dense_basis_oracle(self, n):
+    def test_bench_batch_matches_dense_basis_oracle(self, n):
         problem = second_derivative_problem(n, np.sin)
         fast = problem.factorization
         v = dst2_basis(n)
         dense = SpectralFactorization(v, v, fast.diag)
-        for seed in range(3):
-            got = _bench_cell(problem, fast, 0.01, seed, DiscrepancyRule(1.1))
-            want = _bench_cell(problem, dense, 0.01, seed, DiscrepancyRule(1.1))
-            assert [r.iterations for r in got] == [r.iterations for r in want]
-            assert all(r.iterations >= 0 for r in got)
-            for row, ref in zip(got, want):
-                for field in ("relative_error", "t_or_alpha"):
-                    value, expected = getattr(row, field), getattr(ref, field)
-                    assert abs(value - expected) <= 1e-12 * abs(expected)
+        got = _bench_batch(problem, fast, 0.01, range(3), DiscrepancyRule(1.1))
+        want = _bench_batch(problem, dense, 0.01, range(3), DiscrepancyRule(1.1))
+        assert len(got) == 6
+        assert [r.iterations for r in got] == [r.iterations for r in want]
+        assert all(r.iterations >= 0 for r in got)
+        for row, ref in zip(got, want):
+            for field in ("relative_error", "t_or_alpha"):
+                value, expected = getattr(row, field), getattr(ref, field)
+                assert abs(value - expected) <= 1e-12 * abs(expected)
 
     def test_factorization_stores_no_square_array(self):
         n = 800
@@ -368,6 +368,44 @@ class TestAddNoise:
     def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
         with pytest.raises(DomainError):
             NoiseSpec(0.01, seed)
+
+    # exact outputs of the noise model before admission was added, as float.hex
+    PINNED = [
+        (np.arange(1.0, 6.0),
+         ["0x1.b45cc4e736d7ep-1", "0x1.1f5b8c4fd805dp+1", "0x1.2bab71aa9512dp+1",
+          "0x1.f544759663b83p+1", "0x1.4a87c0a348121p+2"], "0x1.7bb598c88b4adp-1"),
+        ([1, 2, 3],
+         ["0x1.10bd25527ae24p+0", "0x1.b01fcec5669cdp+0", "0x1.66ed312e76d56p+1"],
+         "0x1.7f254dab9cc3bp-2"),
+    ]
+
+    @pytest.mark.parametrize("b, noisy_hex, delta_hex", PINNED, ids=["float-array", "int-list"])
+    def test_valid_input_gives_pinned_bits(self, b, noisy_hex, delta_hex):
+        noisy, delta = add_noise(b, NoiseSpec(0.1, 3))
+        assert [float(v).hex() for v in noisy] == noisy_hex
+        assert float(delta).hex() == delta_hex
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(DomainError, match="^b contains non-finite entries$"):
+            add_noise([bad, 1.0], NoiseSpec(0.1, 0))
+
+    def test_rejects_complex_data(self):
+        # before admission the imaginary part was dropped with only a ComplexWarning
+        with pytest.raises(DomainError, match="must be real"):
+            add_noise(np.array([1.0 + 1.0j, 2.0]), NoiseSpec(0.1, 0))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (), (0,)], ids=["2-d", "0-d", "empty"])
+    def test_rejects_data_that_is_not_a_nonempty_vector(self, shape):
+        with pytest.raises(DimensionMismatch, match="^b has shape "):
+            add_noise(np.ones(shape), NoiseSpec(0.1, 0))
+
+    def test_input_is_not_modified(self):
+        b = np.linspace(1.0, 2.0, 9)
+        before = b.copy()
+        noisy, _ = add_noise(b, NoiseSpec(0.1, 0))
+        assert b.tobytes() == before.tobytes()
+        assert not np.shares_memory(noisy, b)
 
     def test_numpy_integer_seed_gives_identical_noise(self):
         b = np.linspace(1.0, 2.0, 33)

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_matrix, random_problem
 from dsmg import (
     AprioriRule,
+    DimensionMismatch,
     DiscrepancyRule,
     DomainError,
     DsmgError,
@@ -33,7 +34,7 @@ from dsmg import (
     vr_solve,
 )
 from dsmg import baselines, solver
-from dsmg.cli import _bench_cell
+from dsmg.cli import _bench_batch
 from dsmg.solver import FLAG_DISCREPANCY_AT_START
 from oracles import UnstableStep, apply, landweber_integrate, minimal_norm_solution, newton_solve_t
 
@@ -498,16 +499,201 @@ class TestPassCount:
         assert report.diagnostics == (FLAG_DISCREPANCY_AT_START,)
         assert passes["dsmg"] == 2
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sweep_cell_at_100(self, passes, seed):
+    def test_sweep_batch_at_100(self, passes):
+        # one batch of three noise draws: its rows step together, so each
+        # method makes one pass more than its slowest row's iterations
         problem = second_derivative_problem(100, lambda t: math.sin(2.0 * math.pi * t))
-        rows = _bench_cell(problem, problem.factorization, 0.01, seed, DiscrepancyRule(1.1))
-        iterations = {row.method: row.iterations for row in rows}
-        assert min(iterations.values()) > 0
-        assert passes == {method: count + 1 for method, count in iterations.items()}
-        rhs, delta = add_noise(problem.exact_rhs, NoiseSpec(0.01, seed))
+        rows = _bench_batch(problem, problem.factorization, 0.01, [0, 1, 2], DiscrepancyRule(1.1))
+        iterations = {"dsmg": [], "vr": []}
+        for row in rows:
+            iterations[row.method].append(row.iterations)
+        assert min(min(counts) for counts in iterations.values()) > 0
+        assert passes == {method: max(counts) + 1 for method, counts in iterations.items()}
+        rhs, delta = add_noise(problem.exact_rhs, NoiseSpec(0.01, 0))
         solve(NoisyProblem(problem.factorization, rhs, delta), AprioriRule())
-        assert passes["dsmg"] == iterations["dsmg"] + 2
+        assert passes["dsmg"] == max(iterations["dsmg"]) + 2
+
+
+def _noise_draws(problem, seeds, delta_rel=0.01):
+    """The stacked noisy right-hand sides of ``seeds`` and their noise bounds."""
+    draws = [add_noise(problem.exact_rhs, NoiseSpec(delta_rel, seed)) for seed in seeds]
+    return np.array([rhs for rhs, _ in draws]), np.array([delta for _, delta in draws])
+
+
+def _outcome_key(outcome, parameter):
+    """What a row's outcome reports: its error, or its parameter, count, residual and state."""
+    if isinstance(outcome, DsmgError):
+        return type(outcome), str(outcome)
+    return (getattr(outcome, parameter), outcome.newton_iterations, outcome.residual_norm,
+            outcome.solution.tobytes(), getattr(outcome, "diagnostics", ()))
+
+
+def _single_outcome(run, problem, rule):
+    try:
+        return run(problem, rule)
+    except DsmgError as exc:
+        return exc
+
+
+METHODS = pytest.mark.parametrize("run, parameter", [(solve, "t_delta"), (vr_solve, "alpha")],
+                                  ids=["flow", "tikhonov"])
+
+
+class TestBatch:
+    """A k x m stack of right-hand sides: each row solves as its own single solve does."""
+
+    @staticmethod
+    def _sine_batch(seeds=range(5), n=57):
+        problem = second_derivative_problem(n, np.sin)
+        return (problem.factorization, *_noise_draws(problem, seeds))
+
+    @METHODS
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
+    def test_sine_rows_match_single_solves_bit_for_bit(self, run, parameter, start):
+        fact, rhs, delta = self._sine_batch()
+        u0 = None if start == "zero" else 0.1 * np.cos(np.arange(57))
+        rule = DiscrepancyRule(1.1)
+        batch = run(NoisyProblem(fact, rhs, delta, u0=u0), rule)
+        assert isinstance(batch, tuple) and len(batch) == 5
+        for row, outcome in enumerate(batch):
+            single = run(NoisyProblem(fact, rhs[row], delta[row], u0=u0), rule)
+            assert _outcome_key(outcome, parameter) == _outcome_key(single, parameter)
+
+    @METHODS
+    def test_diagonal_complex_rows_match_single_solves_bit_for_bit(self, run, parameter):
+        fact = from_diagonal([2.0, 1.0 + 1.0j, 0.5, 0.1])
+        rhs = np.random.default_rng(4).normal(size=(3, 4))
+        batch = run(NoisyProblem(fact, rhs, np.full(3, 0.1)), DiscrepancyRule(1.2))
+        for row, outcome in enumerate(batch):
+            single = run(NoisyProblem(fact, rhs[row], 0.1), DiscrepancyRule(1.2))
+            assert _outcome_key(outcome, parameter) == _outcome_key(single, parameter)
+
+    @METHODS
+    @pytest.mark.parametrize("shape", [(12, 12), (12, 7)], ids=["eigh", "tall-svd"])
+    def test_dense_rows_match_single_solves(self, run, parameter, shape):
+        # a dense basis multiplies a block by one gemm and a vector by gemv,
+        # which round differently: the rows agree to 1e-12, not bit for bit
+        matrix = random_matrix(31, *shape, 0.05, 2.0)
+        if shape[0] == shape[1]:
+            matrix = matrix + matrix.T
+        rng = np.random.default_rng(5)
+        rhs = (matrix @ rng.normal(size=(shape[1], 4))).T + 0.05 * rng.normal(size=(4, shape[0]))
+        delta = 0.05 * np.linalg.norm(rng.normal(size=(4, shape[0])), axis=1)
+        fact = factorize_svd(matrix)
+        batch = run(NoisyProblem(fact, rhs, delta), DiscrepancyRule(1.1))
+        for row, outcome in enumerate(batch):
+            single = run(NoisyProblem(fact, rhs[row], delta[row]), DiscrepancyRule(1.1))
+            assert outcome.newton_iterations == single.newton_iterations
+            for got, want in ((getattr(outcome, parameter), getattr(single, parameter)),
+                              (outcome.residual_norm, single.residual_norm)):
+                assert abs(got - want) <= 1e-12 * abs(want)
+            gap = np.linalg.norm(outcome.solution - single.solution)
+            assert gap <= 1e-12 * np.linalg.norm(single.solution)
+
+    def test_failing_rows_are_recorded_and_others_unchanged(self):
+        # row 1: ||f|| <= C*delta, so the flow stops flagged at t = 0 and
+        # Tikhonov has no alpha; row 3: data on a zero eigenvalue above the
+        # target, so neither can reach it
+        fact = from_diagonal([1.0, 0.5, 0.0])
+        rhs = np.array([[1.0, 1.0, 0.001], [1.0, 1.0, 0.0], [0.3, 2.0, 0.0], [0.1, 0.1, 1.0]])
+        delta = np.array([0.01, 2.0, 0.02, 0.01])
+        rule = DiscrepancyRule(1.1)
+        flow = solve(NoisyProblem(fact, rhs, delta), rule)
+        tikhonov = vr_solve(NoisyProblem(fact, rhs, delta), rule)
+        assert flow[1].diagnostics == (FLAG_DISCREPANCY_AT_START,) and flow[1].t_delta == 0.0
+        assert isinstance(tikhonov[1], PreconditionViolated)
+        assert isinstance(flow[3], UnattainableDiscrepancy)
+        assert isinstance(tikhonov[3], UnattainableDiscrepancy)
+        kept = [0, 2]
+        flow_kept = solve(NoisyProblem(fact, rhs[kept], delta[kept]), rule)
+        tikhonov_kept = vr_solve(NoisyProblem(fact, rhs[kept], delta[kept]), rule)
+        for row, alone in zip(kept, range(2)):
+            for batch, kept_batch, parameter in ((flow, flow_kept, "t_delta"),
+                                                 (tikhonov, tikhonov_kept, "alpha")):
+                assert (_outcome_key(batch[row], parameter)
+                        == _outcome_key(kept_batch[alone], parameter))
+        for row in range(4):
+            for run, batch, parameter in ((solve, flow, "t_delta"), (vr_solve, tikhonov, "alpha")):
+                single = _single_outcome(run, NoisyProblem(fact, rhs[row], delta[row]), rule)
+                assert _outcome_key(batch[row], parameter) == _outcome_key(single, parameter)
+
+    def test_failing_search_row_does_not_stop_the_others(self, monkeypatch):
+        # a pass that reports NaN for row 2 after the start fails that row
+        # alone, with the single solve's DomainError
+        fact, rhs, delta = self._sine_batch(range(4))
+        original = solver._residual_pass
+
+        def poisoned(p, t):
+            psi, dpsi = original(p, t)
+            psi = psi.copy()
+            psi[2] = math.nan if t[2] > 0 else psi[2]
+            return psi, dpsi
+
+        clean = solve(NoisyProblem(fact, rhs, delta), DiscrepancyRule(1.1))
+        monkeypatch.setattr(solver, "_residual_pass", poisoned)
+        batch = solve(NoisyProblem(fact, rhs, delta), DiscrepancyRule(1.1))
+        assert isinstance(batch[2], DomainError)
+        assert "overflows double precision" in str(batch[2])
+        for row in (0, 1, 3):
+            assert _outcome_key(batch[row], "t_delta") == _outcome_key(clean[row], "t_delta")
+
+    @METHODS
+    def test_duplicate_rows_give_identical_outcomes(self, run, parameter):
+        fact, rhs, delta = self._sine_batch([0, 1, 0])
+        batch = run(NoisyProblem(fact, rhs, delta), DiscrepancyRule(1.1))
+        assert _outcome_key(batch[0], parameter) == _outcome_key(batch[2], parameter)
+
+    @METHODS
+    def test_empty_batch_solves_to_no_outcomes(self, run, parameter):
+        fact = second_derivative_problem(10, np.sin).factorization
+        assert run(NoisyProblem(fact, np.zeros((0, 10)), np.zeros(0)), DiscrepancyRule(1.1)) == ()
+
+    @pytest.mark.parametrize("delta", [0.1, np.full(2, 0.1), np.full((3, 1), 0.1)],
+                             ids=["scalar", "too-few", "column"])
+    def test_one_delta_per_row_required(self, delta):
+        with pytest.raises(DimensionMismatch, match=r"^delta has shape .*, expected \(3,\)$"):
+            NoisyProblem(from_diagonal([1.0, 0.5]), np.ones((3, 2)), delta)
+
+    def test_nonpositive_delta_in_any_row_rejected(self):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            NoisyProblem(from_diagonal([1.0, 0.5]), np.ones((3, 2)), np.array([0.1, 0.0, 0.1]))
+
+    def test_one_pass_per_lockstep_step(self, monkeypatch):
+        # rows that need different iteration counts share every pass: the
+        # search makes one pass more than its slowest row's iterations
+        fact = from_diagonal([1.0])
+        rhs = np.array([[1.0], [1.0]])
+        calls = []
+        original = solver._residual_pass
+
+        def counted(p, t):
+            calls.append(t)
+            return original(p, t)
+
+        monkeypatch.setattr(solver, "_residual_pass", counted)
+        single_mode = solve(NoisyProblem(fact, rhs, np.array([0.01, 0.96])), DiscrepancyRule(1.05))
+        assert [report.newton_iterations for report in single_mode] == [1, 0]
+        assert len(calls) == 2
+        calls.clear()
+        problem = random_problem(300, m=8, n=8, sing_lo=0.01, sing_hi=3.0)
+        stack = np.array([problem.f_delta, 3.0 * problem.f_delta])
+        reports = solve(NoisyProblem(problem.factorization, stack, np.array([problem.delta] * 2)),
+                        DiscrepancyRule(1.1))
+        counts = [report.newton_iterations for report in reports]
+        assert counts[0] != counts[1]
+        assert len(calls) == max(counts) + 1
+
+    def test_per_row_values_and_states_are_stacked(self):
+        fact, rhs, delta = self._sine_batch(range(3))
+        problem = NoisyProblem(fact, rhs, delta)
+        assert problem.rhs_coefficients.shape == (3, 57)
+        assert problem.rhs_coefficients.flags.c_contiguous
+        assert problem.residual_floor.shape == (3,)
+        psi = discrepancy(problem, np.array([0.0, 1.0, 2.0]))
+        for row in range(3):
+            single = NoisyProblem(fact, rhs[row], delta[row])
+            assert psi[row] == discrepancy(single, float(row))
+            assert solution_at(problem, 5.0)[row].tobytes() == solution_at(single, 5.0).tobytes()
 
 
 class TestSolve:
