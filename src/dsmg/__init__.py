@@ -9,7 +9,7 @@ FFT deconvolution front end round out the toolkit.
 
 __version__ = "0.1.0"
 
-from .baselines import VRReport, tikhonov_solution, vr_solve
+from .baselines import tikhonov_solution, vr_solve
 from .deconvolution import (
     CirculantProblem,
     GrayImage,
@@ -63,7 +63,6 @@ __all__ = [
     "StoppingRule",
     "TestProblem",
     "UnattainableDiscrepancy",
-    "VRReport",
     "add_noise",
     "blur_periodic",
     "deconvolve_1d",

@@ -4,12 +4,10 @@ It runs on the spectral core of ``solver`` with the second damping law: with
 beta = 1 / alpha, mode i keeps 1 / (1 + lam_i beta) of |r_i|, r = U* (f_delta -
 A u0), and decays at rate lam_i / (1 + lam_i beta). log psi_vr(beta) =
 1/2 log sum_i exp(-2 log(1 + lam_i beta)) |r_i|^2 is a log-sum-exp of convex
-functions of beta, hence convex, and it is decreasing, so beta is found by
-the flow's Newton search on log psi from beta = 0, and the solution is the
-flow's synthesis with the gains conj(s_i) / (lam_i + alpha).
+functions of beta, hence convex, and decreasing: the flow's Newton search
+finds beta from 0, its synthesis with the gains conj(s_i) / (lam_i + alpha)
+gives the state, and its ``SolveReport`` holds beta as ``t_delta``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,24 +18,14 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class VRReport:
-    """Outcome of one Tikhonov solve."""
-
-    alpha: float
-    solution: np.ndarray
-    residual_norm: float
-    newton_iterations: int
-
-
-def _vr_residual(problem: NoisyProblem, beta):
-    """psi_vr(beta) and d psi_vr / d beta of each row at its own beta, from one pass.
+def _vr_residual(problem: NoisyProblem, beta: np.ndarray):
+    """psi_vr(beta) and d psi_vr / d beta of each row at its own entry of beta, from one pass.
 
     Mode i keeps the fraction 1 / (1 + lam_i beta) of |r_i|, which decays at
     rate lam_i / (1 + lam_i beta).
     """
     lam = problem.factorization.eigenvalues
-    damping = lam * problem._per_row(beta)[:, None]
+    damping = lam * beta[:, None]
     damping += 1.0
     np.reciprocal(damping, out=damping)
     rate = damping * lam
@@ -52,7 +40,8 @@ def tikhonov_solution(problem: NoisyProblem, alpha) -> np.ndarray:
     """
     _require_positive(alpha, "alpha")
     fact = problem.factorization
-    return _synthesis(problem, fact.diag.conj() / (fact.eigenvalues + problem._column(alpha)))
+    gains = fact.diag.conj() / (fact.eigenvalues + problem._column(alpha, "alpha"))
+    return _synthesis(problem, gains)
 
 
 def vr_solve(problem: NoisyProblem, rule: DiscrepancyRule):
@@ -64,12 +53,15 @@ def vr_solve(problem: NoisyProblem, rule: DiscrepancyRule):
     A row raises UnattainableDiscrepancy when even alpha -> 0 cannot push
     its residual below the target, and PreconditionViolated when
     ||A u0 - f_delta|| is at, below or within the search tolerance of it.
-    Returns a VRReport for one right-hand side, and raises the row's error;
-    for a stack, a tuple with one outcome per row, as ``solve`` does.
+    Returns a SolveReport for one right-hand side, and raises the row's
+    error; for a stack, a tuple with one outcome per row, as ``solve`` does.
+    The report's ``t_delta`` is beta, so alpha = 1 / t_delta; its
+    ``rule_used`` is ``rule`` and it has no diagnostics.
     """
     if not isinstance(rule, DiscrepancyRule):
         raise DomainError(f"Tikhonov stops only by a DiscrepancyRule, not {rule!r}")
-    search = _newton_on_log_psi(problem, _vr_residual, rule.C * problem.delta)
+    target = rule.C * problem._per_row(problem.delta, "delta")
+    search = _newton_on_log_psi(problem, _vr_residual, target)
     # the search stops at beta = 0 when ||A u0 - f_delta|| is at, below or
     # within its tolerance of the target
     failures = tuple(
@@ -77,13 +69,8 @@ def vr_solve(problem: NoisyProblem, rule: DiscrepancyRule):
         if failure is None and beta == 0.0 else failure
         for failure, beta in zip(search.failures, search.t_delta.tolist())
     )
-    solved = np.array([failure is None for failure in failures], dtype=bool)
     # a failed row is synthesized at alpha = 1 with the others, and dropped
-    alpha = 1.0 / np.where(solved, search.t_delta, 1.0)
-    solutions = problem._stacked(tikhonov_solution(problem, problem._shaped(alpha)))
-    return _outcomes(problem, failures, lambda r: VRReport(
-        alpha=float(alpha[r]),
-        solution=solutions[r],
-        residual_norm=float(search.residual_norm[r]),
-        newton_iterations=int(search.iterations[r]),
-    ))
+    alpha = 1.0 / np.where([failure is None for failure in failures], search.t_delta, 1.0)
+    solutions = problem._stacked(tikhonov_solution(problem, alpha))
+    unflagged = np.zeros(len(failures), dtype=bool)
+    return _outcomes(problem, rule, search._replace(failures=failures), solutions, unflagged)

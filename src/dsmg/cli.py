@@ -206,13 +206,15 @@ def _bench_batch(problem, fact, delta_rel, seeds, rule):
     )
     truth_norm = float(np.linalg.norm(truth))
     rows = []
-    for method, run, parameter in (("dsmg", solve, "t_delta"), ("vr", vr_solve, "alpha")):
+    for method, run in (("dsmg", solve), ("vr", vr_solve)):
         for seed, outcome in zip(seeds, run(noisy, rule)):
             if isinstance(outcome, DsmgError):
                 result = (-1, math.nan, math.nan)
             else:
                 error = float(np.linalg.norm(outcome.solution - truth)) / truth_norm
-                result = (outcome.newton_iterations, error, getattr(outcome, parameter))
+                # the flow's t, or Tikhonov's alpha = 1 / beta
+                parameter = outcome.t_delta if method == "dsmg" else 1.0 / outcome.t_delta
+                result = (outcome.newton_iterations, error, parameter)
             rows.append(BenchmarkRow(n, method, *result, seed, delta_rel))
     return rows
 

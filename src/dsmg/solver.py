@@ -11,13 +11,15 @@ one kernel, ``_norm_and_slope``, the state from one synthesis
 u = u0 + V (gains * r0), and the parameter from one Newton search on the
 convex, decreasing log psi from 0, ``_newton_on_log_psi``: one pass at 0 and
 one per iteration. ``solve`` also offers the a priori time t = C / delta**gamma.
+Both report through ``_outcomes``, with beta as the ``t_delta`` of Tikhonov.
 
 A problem holds one right-hand side or a k x m stack of them, one per row,
 that share the factorization: the noise draws of one experiment. The rows
 are solved together, not one by one. Each transform acts on all rows as one
 block, each pass damps all rows at their own t, and the Newton search steps
 all rows in lockstep; a row whose search fails is recorded, and the others
-go on. A single right-hand side is the one-row case of the same code.
+go on. A single right-hand side is the one-row case of the same code: the
+core's per-row arrays are shaped as ``f_delta`` is only by public functions.
 """
 
 import math
@@ -112,14 +114,16 @@ class NoisyProblem:
         """Values shaped as ``f_delta`` is, viewed as k rows."""
         return values.reshape(self._rows, values.shape[-1])
 
-    def _per_row(self, values) -> np.ndarray:
-        """A value for every row: an array of k, broadcast from a scalar."""
+    def _per_row(self, values, name: str) -> np.ndarray:
+        """A value for every row: an array of k, broadcast from a scalar; else DimensionMismatch."""
         values = np.asarray(values, dtype=float)
-        return values if values.shape == (self._rows,) else np.full(self._rows, values)
+        if values.shape not in ((), (self._rows,)):
+            raise DimensionMismatch(f"{name} has shape {values.shape}, not () or ({self._rows},)")
+        return values if values.ndim else np.full(self._rows, values)
 
-    def _column(self, values) -> np.ndarray:
+    def _column(self, values, name: str) -> np.ndarray:
         """A value per row shaped to scale the rows: (k, 1), or (1,) for one right-hand side."""
-        return self._per_row(values).reshape(self.f_delta.shape[:-1] + (1,))
+        return self._per_row(values, name).reshape(self.f_delta.shape[:-1] + (1,))
 
     def _shaped(self, values: np.ndarray):
         """Values per row as the caller sees them: a float for one right-hand side."""
@@ -168,11 +172,16 @@ class NoisyProblem:
         return out
 
     @cached_property
-    def residual_floor(self):
-        """inf psi of both methods: r0 = U* f_delta on zero eigenvalues, and off range(U)."""
+    def _floors(self) -> np.ndarray:
+        """inf psi of each row: r0 = U* f_delta on zero eigenvalues, and off range(U)."""
         stuck = self.factorization.eigenvalues == 0.0
         on_range = _scaled_norms(self._stacked(self.residual_weights)[:, stuck])
-        return self._shaped(np.hypot(on_range, self._off_range_norm))
+        return np.hypot(on_range, self._off_range_norm)
+
+    @property
+    def residual_floor(self):
+        """inf psi of both methods: ``_floors``, a float for one right-hand side."""
+        return self._shaped(self._floors)
 
 
 class NewtonResult(NamedTuple):
@@ -187,7 +196,7 @@ class NewtonResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Outcome of one regularized solve."""
+    """Outcome of one regularized solve: ``t_delta`` is the flow's t, or beta = 1 / alpha."""
 
     t_delta: float
     solution: np.ndarray
@@ -247,7 +256,7 @@ def solution_at(problem: NoisyProblem, t) -> np.ndarray:
     right-hand side.
     """
     fact = problem.factorization
-    gains = evolution_filter(fact.eigenvalues, problem._column(t))
+    gains = evolution_filter(fact.eigenvalues, problem._column(t, "t"))
     return _synthesis(problem, gains * fact.diag.conj())
 
 
@@ -277,8 +286,8 @@ def _norm_and_slope(problem: NoisyProblem, damping: np.ndarray, rate: np.ndarray
     row, psi = ||(d, off_range)|| and psi' = -sum(rate * d**2) / psi. d is
     rescaled by its maximum before squaring, so the squares underflow only
     where they are negligible. ``damping`` (k x len) is overwritten; each
-    row is reduced on its own, along its contiguous axis. psi' is reported
-    as 0 where psi itself is 0.
+    row is reduced on its own, along its contiguous axis. Returns psi and
+    psi' as arrays of k; psi' is reported as 0 where psi itself is 0.
     """
     damping *= problem._stacked(problem.residual_weights)
     off_range = problem._off_range_norm
@@ -293,19 +302,16 @@ def _norm_and_slope(problem: NoisyProblem, damping: np.ndarray, rate: np.ndarray
         psi = scale * norm
         slope = np.divide(-scale * _row_dots(rate, damping), norm,
                           out=np.zeros_like(norm), where=live)
-    return problem._shaped(psi), problem._shaped(slope)
+    return psi, slope
 
 
-def _residual_pass(problem: NoisyProblem, t):
-    """psi(t) and psi'(t) of the flow, each row at its own t.
+def _residual_pass(problem: NoisyProblem, t: np.ndarray):
+    """psi(t) and psi'(t) of the flow, each row at its own t >= 0 of the array t.
 
     Mode i keeps exp(-t*lam_i) and decays at rate lam_i.
     """
-    times = problem._per_row(t)
-    if np.count_nonzero(~(np.isfinite(times) & (times >= 0))):
-        raise DomainError(f"t={t} must be nonnegative and finite")
     lam = problem.factorization.eigenvalues
-    damping = lam * -times[:, None]
+    damping = lam * -t[:, None]
     np.exp(damping, out=damping)
     return _norm_and_slope(problem, damping, lam)
 
@@ -317,7 +323,10 @@ def discrepancy(problem: NoisyProblem, t):
     initial residual forever, so psi decreases monotonically from
     ||A u0 - f_delta|| to the residual floor as t grows.
     """
-    return _residual_pass(problem, t)[0]
+    times = problem._per_row(t, "t")
+    if np.count_nonzero(~(np.isfinite(times) & (times >= 0))):
+        raise DomainError(f"t={t} must be nonnegative and finite")
+    return problem._shaped(_residual_pass(problem, times)[0])
 
 
 def _map_floats(function, values: np.ndarray) -> np.ndarray:
@@ -334,13 +343,13 @@ def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target) -> NewtonRe
     """Solve psi(t) = target for t > 0 on every row by Newton's method on log psi from t = 0.
 
     t is the flow time for the gradient flow and beta = 1 / alpha for
-    Tikhonov. ``residual_pass(problem, t)`` returns psi(t) and psi'(t) of
-    every row, each at its own t, from one pass over the spectrum, and inf
-    psi is ``problem.residual_floor``. log psi must be convex and decreasing
-    in t: then every Newton step from a point left of the root stays left of
-    it, so the iterates rise monotonically. A step that rounding carries
-    materially past the root is replaced by bisection between the last point
-    above the target and the overshooting one.
+    Tikhonov. ``target`` and ``residual_pass(problem, t)``'s t, psi(t) and
+    psi'(t) are arrays of one value per row, psi and psi' from one pass over
+    the spectrum; inf psi is ``problem._floors``. log psi must be convex and
+    decreasing in t: then every Newton step from a point left of the root
+    stays left of it, so the iterates rise monotonically. A step that
+    rounding carries materially past the root is replaced by bisection
+    between the last point above the target and the overshooting one.
     The rows step in lockstep, one pass per step, with the step, bracket and
     bisection of each row its own; a row leaves the search when it meets its
     target or fails. A failing row's typed error is recorded, and the other
@@ -351,11 +360,9 @@ def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target) -> NewtonRe
     place that decides it.
     """
     k = problem._rows
-    target = problem._per_row(target)
     failures = [None] * k
-    psi, dpsi = residual_pass(problem, problem._shaped(np.zeros(k)))
     # t, psi and psi' of every row, updated in place
-    point = np.array([np.zeros(k), problem._per_row(psi), problem._per_row(dpsi)])
+    point = np.array([np.zeros(k), *residual_pass(problem, np.zeros(k))])
     t, psi, dpsi = point
     active = ~(psi <= target)
 
@@ -369,7 +376,7 @@ def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target) -> NewtonRe
             active = active & ~rows
 
     if np.count_nonzero(active):
-        floor = problem._per_row(problem.residual_floor)
+        floor = problem._floors
         fail(floor >= target, lambda r: UnattainableDiscrepancy(
             f"residual floor {floor[r]:.6e} >= C*delta = {target[r]:.6e}; "
             "C is too small or delta understates the noise"
@@ -423,7 +430,7 @@ def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target) -> NewtonRe
         if not np.count_nonzero(active):
             break
         np.copyto(t, step, where=active)
-        new_psi, new_dpsi = residual_pass(problem, problem._shaped(t))
+        new_psi, new_dpsi = residual_pass(problem, t)
         np.copyto(psi, new_psi, where=active)
         np.copyto(dpsi, new_dpsi, where=active)
     trace = np.array(points + [t])
@@ -432,13 +439,20 @@ def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target) -> NewtonRe
     return NewtonResult(t, iterations, iterates, psi, tuple(failures))
 
 
-def _outcomes(problem: NoisyProblem, failures, report):
-    """``report(r)`` of every row r, or the DsmgError that row raised.
+def _outcomes(problem: NoisyProblem, rule: StoppingRule, found: NewtonResult, solutions, at_start):
+    """The SolveReport of every row from ``found``, or the DsmgError that row raised.
 
     A tuple, one outcome per row, for a stack; for one right-hand side, its
-    report, or its error raised.
+    report, or its error raised. ``at_start`` flags the rows whose start met the target.
     """
-    outcomes = tuple(failure or report(r) for r, failure in enumerate(failures))
+    outcomes = tuple(failure or SolveReport(
+        t_delta=float(found.t_delta[r]),
+        solution=solutions[r],
+        residual_norm=float(found.residual_norm[r]),
+        newton_iterations=int(found.iterations[r]),
+        rule_used=rule,
+        diagnostics=(FLAG_DISCREPANCY_AT_START,) if at_start[r] else (),
+    ) for r, failure in enumerate(found.failures))
     if problem.f_delta.ndim == 2:
         return outcomes
     if isinstance(outcomes[0], DsmgError):
@@ -457,32 +471,30 @@ def solve(problem: NoisyProblem, rule: StoppingRule):
     satisfies ||A u0 - f_delta|| <= C * delta, the report returns u0 at
     t = 0 with a diagnostic flag.
     A priori branch: t = C / delta**gamma with no search; psi(t) is
-    evaluated once for the report, and a time that overflows raises
-    DomainError for the whole call.
+    evaluated once for the report, and a row whose time overflows raises
+    DomainError.
     Returns a SolveReport for one right-hand side, and raises the row's
-    DsmgError if its search fails. For a stack, returns a tuple with one
-    outcome per row, in order: its SolveReport or its DsmgError; one search
-    and one synthesis serve all rows.
+    DsmgError if it fails. For a stack, returns a tuple with one outcome
+    per row, in order: its SolveReport or its DsmgError; one search and one
+    synthesis serve all rows.
     """
+    k = problem._rows
+    deltas = problem._per_row(problem.delta, "delta")
     if isinstance(rule, AprioriRule):
-        deltas = problem._per_row(problem.delta)
         t_stop = _map_floats(lambda delta: rule.C / delta ** rule.gamma, deltas)
-        psi = problem._per_row(discrepancy(problem, problem._shaped(t_stop)))
-        iterations = np.zeros(problem._rows, dtype=int)
-        at_start = np.zeros(problem._rows, dtype=bool)
-        failures = (None,) * problem._rows
+        failures = tuple(None if math.isfinite(t) else DomainError(
+            f"a priori time C / delta**gamma at delta={delta!r} overflows double precision"
+        ) for t, delta in zip(t_stop.tolist(), deltas.tolist()))
+        # an overflowing row is evaluated at t = 0 with the others, and dropped
+        t_stop[~np.isfinite(t_stop)] = 0.0
+        psi = problem._per_row(discrepancy(problem, t_stop), "psi")
+        found = NewtonResult(t_stop, np.zeros(k, dtype=int), ((),) * k, psi, failures)
+        at_start = np.zeros(k, dtype=bool)
     elif isinstance(rule, DiscrepancyRule):
-        target = rule.C * problem.delta
-        t_stop, iterations, _, psi, failures = _newton_on_log_psi(problem, _residual_pass, target)
-        at_start = (iterations == 0) & (psi <= target)
+        target = rule.C * deltas
+        found = _newton_on_log_psi(problem, _residual_pass, target)
+        at_start = (found.iterations == 0) & (found.residual_norm <= target)
     else:
         raise DomainError(f"unknown stopping rule {rule!r}")
-    solutions = problem._stacked(solution_at(problem, problem._shaped(t_stop)))
-    return _outcomes(problem, failures, lambda r: SolveReport(
-        t_delta=float(t_stop[r]),
-        solution=solutions[r],
-        residual_norm=float(psi[r]),
-        newton_iterations=int(iterations[r]),
-        rule_used=rule,
-        diagnostics=(FLAG_DISCREPANCY_AT_START,) if at_start[r] else (),
-    ))
+    solutions = problem._stacked(solution_at(problem, found.t_delta))
+    return _outcomes(problem, rule, found, solutions, at_start)

@@ -11,6 +11,7 @@ between the two is evidence.
 - ``to_matrix``: the dense matrix U S V* of a factorization.
 - ``minimal_norm_solution``: the pseudo-inverse solution.
 - ``newton_solve_t``: the discrepancy search alone, without ``solve``.
+- ``residual_slope``: psi'(t) of one right-hand side from the flow's pass.
 - ``eigh_derivative_bench``: the benchmark sweep with ``factorize_svd`` in
   place of the closed-form factorization.
 - ``dst2_basis``: the dense DST-II basis that the closed-form factorization
@@ -151,9 +152,11 @@ def newton_solve_t(problem: NoisyProblem, C: float) -> solver.NewtonResult:
     Returns the row's root, iterations, trace and psi as scalars and a tuple,
     or raises the row's error. Both private names are looked up on
     ``solver`` at call time, so a test that monkeypatches
-    ``solver._residual_pass`` reaches this search too.
+    ``solver._residual_pass`` reaches this search too. The core works on
+    arrays of one value per row, so the target is an array of one.
     """
-    result = solver._newton_on_log_psi(problem, solver._residual_pass, C * problem.delta)
+    target = np.full(1, C * problem.delta)
+    result = solver._newton_on_log_psi(problem, solver._residual_pass, target)
     (failure,) = result.failures
     if failure is not None:
         raise failure
@@ -161,6 +164,11 @@ def newton_solve_t(problem: NoisyProblem, C: float) -> solver.NewtonResult:
         float(result.t_delta[0]), int(result.iterations[0]), result.iterates[0],
         float(result.residual_norm[0]), None,
     )
+
+
+def residual_slope(problem: NoisyProblem, t: float) -> float:
+    """psi'(t) of one right-hand side, read from the flow's residual pass at an array of one t."""
+    return float(solver._residual_pass(problem, np.full(1, t))[1][0])
 
 
 def dst2_basis(N: int) -> np.ndarray:

@@ -32,7 +32,7 @@ def test_scalar_alpha_closed_form():
     problem = NoisyProblem(from_diagonal([1.0]), np.array([1.0]), delta=0.01)
     report = vr_solve(problem, DiscrepancyRule(1.5))
     expected = 0.015 / 0.985
-    assert abs(report.alpha - expected) <= 1e-6 * expected
+    assert abs(1.0 / report.t_delta - expected) <= 1e-6 * expected
     assert abs(report.residual_norm - 0.015) <= 1e-8 * 0.015
     assert report.newton_iterations >= 1
 
@@ -74,7 +74,7 @@ def test_residual_hits_target_on_random_problems():
 def test_vr_residual_increasing_in_alpha():
     problem = random_problem(42, m=5, n=5, sing_lo=0.05, sing_hi=1.5)
     alphas = np.logspace(-8, 2, 30)
-    values = [_vr_residual(problem, 1.0 / a)[0] for a in alphas]
+    values = [_vr_residual(problem, np.full(1, 1.0 / a))[0][0] for a in alphas]
     assert np.all(np.diff(values) > 0)
 
 
@@ -109,7 +109,7 @@ def test_alpha_matches_bisection_oracle(monkeypatch):
                 lo = mid
         oracle = math.sqrt(lo * hi)
         report = vr_solve(problem, DiscrepancyRule(C))
-        assert abs(report.alpha - oracle) <= 1e-6 * oracle
+        assert abs(1.0 / report.t_delta - oracle) <= 1e-6 * oracle
         assert np.all(np.diff(searches[-1].iterates) >= 0)
 
 
@@ -222,7 +222,7 @@ def test_regularizes_toward_start_point(shape):
         report = vr_solve(problem, DiscrepancyRule(1.2))
         target = 1.2 * problem.delta
         assert abs(report.residual_norm - target) <= 1e-8 * target
-        oracle = generalized_tikhonov(matrix, f, start, report.alpha)
+        oracle = generalized_tikhonov(matrix, f, start, 1.0 / report.t_delta)
         assert np.linalg.norm(report.solution - oracle) <= 1e-10 * np.linalg.norm(oracle)
         direct = np.linalg.norm(matrix @ report.solution - f)
         assert abs(report.residual_norm - direct) <= 1e-10 * direct

@@ -14,6 +14,8 @@ from dsmg import (
     GrayImage,
     MalformedFile,
     NoiseSpec,
+    NoisyProblem,
+    SolveReport,
     add_noise,
     blur_periodic,
     cli,
@@ -23,9 +25,10 @@ from dsmg import (
     read_pgm,
     second_derivative_problem,
     synthetic_target,
+    vr_solve,
     write_pgm,
 )
-from dsmg.cli import load_matrix, main, run_derivative_bench
+from dsmg.cli import load_matrix, main, rows_to_csv, run_derivative_bench
 from oracles import eigh_derivative_bench
 from test_acceptance import BENCH_SEEDS, BENCH_SIZES
 
@@ -248,6 +251,23 @@ class TestDerivativeBench:
         # sorted by (N, method, seed): each seed-1 pair is adjacent and identical
         assert len(set(rows)) == 2 * 2 * 2
         assert all(row.split(",")[5] == "1" for row in rows if rows.count(row) == 2)
+
+    def test_vr_alpha_is_one_over_the_reports_t_delta(self):
+        # vr_solve returns the flow's SolveReport with beta = 1 / alpha as
+        # t_delta, and the CSV's t_or_alpha is 1.0 / t_delta bit for bit
+        seeds = [0, 1, 2]
+        rows = run_derivative_bench([20], "sin_2pi", 0.01, seeds, DiscrepancyRule(1.1))
+        problem = second_derivative_problem(20, cli.SOLUTION_CHOICES["sin_2pi"])
+        draws = [add_noise(problem.exact_rhs, NoiseSpec(0.01, seed)) for seed in seeds]
+        stack = NoisyProblem(problem.factorization, np.array([rhs for rhs, _ in draws]),
+                             np.array([delta for _, delta in draws]))
+        reports = vr_solve(stack, DiscrepancyRule(1.1))
+        assert all(type(report) is SolveReport for report in reports)
+        csv_rows = rows_to_csv(rows).splitlines()[2:]
+        vr_fields = [line.split(",") for line in csv_rows if line.split(",")[1] == "vr"]
+        for fields, report in zip(vr_fields, reports, strict=True):
+            assert float(fields[4]) == 1.0 / report.t_delta
+            assert fields[4] == repr(1.0 / report.t_delta)
 
     def test_failed_draw_gets_its_own_row(self, capsys, monkeypatch):
         # seed 3's noise bound is inflated until ||f|| <= C*delta: the flow

@@ -31,12 +31,15 @@ from dsmg import (
     solution_at,
     solve,
     synthetic_target,
+    tikhonov_solution,
     vr_solve,
 )
 from dsmg import baselines, solver
 from dsmg.cli import _bench_batch
 from dsmg.solver import FLAG_DISCREPANCY_AT_START
-from oracles import UnstableStep, apply, landweber_integrate, minimal_norm_solution, newton_solve_t
+from oracles import (
+    UnstableStep, apply, landweber_integrate, minimal_norm_solution, newton_solve_t, residual_slope,
+)
 
 
 def scalar_problem(s=1.0, f=1.0, delta=0.01):
@@ -245,7 +248,8 @@ def test_symmetric_factorization_matches_svd_oracle(seed):
     assert abs(ours.t_delta - ref.t_delta) <= 1e-10 * ref.t_delta
     assert ours.newton_iterations == ref.newton_iterations
     ours, ref = vr_solve(fast, DiscrepancyRule(1.1)), vr_solve(slow, DiscrepancyRule(1.1))
-    assert abs(ours.alpha - ref.alpha) <= 1e-10 * ref.alpha
+    alpha, ref_alpha = 1.0 / ours.t_delta, 1.0 / ref.t_delta
+    assert abs(alpha - ref_alpha) <= 1e-10 * ref_alpha
     assert ours.newton_iterations == ref.newton_iterations
 
 
@@ -253,13 +257,13 @@ class TestDiscrepancyDerivative:
     def test_scalar(self):
         problem = scalar_problem()
         for t in (0.0, 0.5, 2.0):
-            assert abs(solver._residual_pass(problem, t)[1] + math.exp(-t)) < 1e-14
+            assert abs(residual_slope(problem, t) + math.exp(-t)) < 1e-14
 
     def test_zero_when_data_in_null_space(self):
         # A = diag(1, 0), f along the dead direction: the flow never moves
         fact = from_diagonal([1.0, 0.0])
         problem = NoisyProblem(fact, np.array([0.0, 1.0]), delta=0.01)
-        assert solver._residual_pass(problem, 1.0)[1] == 0.0
+        assert residual_slope(problem, 1.0) == 0.0
         assert discrepancy(problem, 0.0) == discrepancy(problem, 10.0) == 1.0
         with pytest.raises(UnattainableDiscrepancy):
             newton_solve_t(problem, 1.5)
@@ -271,14 +275,15 @@ class TestDiscrepancyDerivative:
             fd = (discrepancy(problem, t + step) - discrepancy(problem, max(t - step, 0.0))) / (
                 2 * step if t >= step else step
             )
-            exact = solver._residual_pass(problem, t)[1]
+            exact = residual_slope(problem, t)
             assert abs(fd - exact) <= 1e-4 * abs(exact)
 
     def test_degenerate_zero_residual(self):
         # the start point fits the data exactly: psi and psi' are both 0
         fact = from_diagonal([1.0])
         problem = NoisyProblem(fact, np.array([1.0]), delta=0.5, u0=np.array([1.0]))
-        assert solver._residual_pass(problem, 0.0) == (0.0, 0.0)
+        psi, dpsi = solver._residual_pass(problem, np.zeros(1))
+        assert psi.tolist() == dpsi.tolist() == [0.0]
 
 
 class TestNewton:
@@ -520,12 +525,12 @@ def _noise_draws(problem, seeds, delta_rel=0.01):
     return np.array([rhs for rhs, _ in draws]), np.array([delta for _, delta in draws])
 
 
-def _outcome_key(outcome, parameter):
-    """What a row's outcome reports: its error, or its parameter, count, residual and state."""
+def _outcome_key(outcome):
+    """What a row's outcome reports: its error, or its whole SolveReport with the state's bytes."""
     if isinstance(outcome, DsmgError):
         return type(outcome), str(outcome)
-    return (getattr(outcome, parameter), outcome.newton_iterations, outcome.residual_norm,
-            outcome.solution.tobytes(), getattr(outcome, "diagnostics", ()))
+    return (outcome.t_delta, outcome.newton_iterations, outcome.residual_norm,
+            outcome.solution.tobytes(), outcome.rule_used, outcome.diagnostics)
 
 
 def _single_outcome(run, problem, rule):
@@ -535,8 +540,7 @@ def _single_outcome(run, problem, rule):
         return exc
 
 
-METHODS = pytest.mark.parametrize("run, parameter", [(solve, "t_delta"), (vr_solve, "alpha")],
-                                  ids=["flow", "tikhonov"])
+METHODS = pytest.mark.parametrize("run", [solve, vr_solve], ids=["flow", "tikhonov"])
 
 
 class TestBatch:
@@ -549,7 +553,7 @@ class TestBatch:
 
     @METHODS
     @pytest.mark.parametrize("start", ["zero", "nonzero"])
-    def test_sine_rows_match_single_solves_bit_for_bit(self, run, parameter, start):
+    def test_sine_rows_match_single_solves_bit_for_bit(self, run, start):
         fact, rhs, delta = self._sine_batch()
         u0 = None if start == "zero" else 0.1 * np.cos(np.arange(57))
         rule = DiscrepancyRule(1.1)
@@ -557,20 +561,20 @@ class TestBatch:
         assert isinstance(batch, tuple) and len(batch) == 5
         for row, outcome in enumerate(batch):
             single = run(NoisyProblem(fact, rhs[row], delta[row], u0=u0), rule)
-            assert _outcome_key(outcome, parameter) == _outcome_key(single, parameter)
+            assert _outcome_key(outcome) == _outcome_key(single)
 
     @METHODS
-    def test_diagonal_complex_rows_match_single_solves_bit_for_bit(self, run, parameter):
+    def test_diagonal_complex_rows_match_single_solves_bit_for_bit(self, run):
         fact = from_diagonal([2.0, 1.0 + 1.0j, 0.5, 0.1])
         rhs = np.random.default_rng(4).normal(size=(3, 4))
         batch = run(NoisyProblem(fact, rhs, np.full(3, 0.1)), DiscrepancyRule(1.2))
         for row, outcome in enumerate(batch):
             single = run(NoisyProblem(fact, rhs[row], 0.1), DiscrepancyRule(1.2))
-            assert _outcome_key(outcome, parameter) == _outcome_key(single, parameter)
+            assert _outcome_key(outcome) == _outcome_key(single)
 
     @METHODS
     @pytest.mark.parametrize("shape", [(12, 12), (12, 7)], ids=["eigh", "tall-svd"])
-    def test_dense_rows_match_single_solves(self, run, parameter, shape):
+    def test_dense_rows_match_single_solves(self, run, shape):
         # a dense basis multiplies a block by one gemm and a vector by gemv,
         # which round differently: the rows agree to 1e-12, not bit for bit
         matrix = random_matrix(31, *shape, 0.05, 2.0)
@@ -584,7 +588,7 @@ class TestBatch:
         for row, outcome in enumerate(batch):
             single = run(NoisyProblem(fact, rhs[row], delta[row]), DiscrepancyRule(1.1))
             assert outcome.newton_iterations == single.newton_iterations
-            for got, want in ((getattr(outcome, parameter), getattr(single, parameter)),
+            for got, want in ((outcome.t_delta, single.t_delta),
                               (outcome.residual_norm, single.residual_norm)):
                 assert abs(got - want) <= 1e-12 * abs(want)
             gap = np.linalg.norm(outcome.solution - single.solution)
@@ -608,14 +612,12 @@ class TestBatch:
         flow_kept = solve(NoisyProblem(fact, rhs[kept], delta[kept]), rule)
         tikhonov_kept = vr_solve(NoisyProblem(fact, rhs[kept], delta[kept]), rule)
         for row, alone in zip(kept, range(2)):
-            for batch, kept_batch, parameter in ((flow, flow_kept, "t_delta"),
-                                                 (tikhonov, tikhonov_kept, "alpha")):
-                assert (_outcome_key(batch[row], parameter)
-                        == _outcome_key(kept_batch[alone], parameter))
+            for batch, kept_batch in ((flow, flow_kept), (tikhonov, tikhonov_kept)):
+                assert _outcome_key(batch[row]) == _outcome_key(kept_batch[alone])
         for row in range(4):
-            for run, batch, parameter in ((solve, flow, "t_delta"), (vr_solve, tikhonov, "alpha")):
+            for run, batch in ((solve, flow), (vr_solve, tikhonov)):
                 single = _single_outcome(run, NoisyProblem(fact, rhs[row], delta[row]), rule)
-                assert _outcome_key(batch[row], parameter) == _outcome_key(single, parameter)
+                assert _outcome_key(batch[row]) == _outcome_key(single)
 
     def test_failing_search_row_does_not_stop_the_others(self, monkeypatch):
         # a pass that reports NaN for row 2 after the start fails that row
@@ -635,16 +637,16 @@ class TestBatch:
         assert isinstance(batch[2], DomainError)
         assert "overflows double precision" in str(batch[2])
         for row in (0, 1, 3):
-            assert _outcome_key(batch[row], "t_delta") == _outcome_key(clean[row], "t_delta")
+            assert _outcome_key(batch[row]) == _outcome_key(clean[row])
 
     @METHODS
-    def test_duplicate_rows_give_identical_outcomes(self, run, parameter):
+    def test_duplicate_rows_give_identical_outcomes(self, run):
         fact, rhs, delta = self._sine_batch([0, 1, 0])
         batch = run(NoisyProblem(fact, rhs, delta), DiscrepancyRule(1.1))
-        assert _outcome_key(batch[0], parameter) == _outcome_key(batch[2], parameter)
+        assert _outcome_key(batch[0]) == _outcome_key(batch[2])
 
     @METHODS
-    def test_empty_batch_solves_to_no_outcomes(self, run, parameter):
+    def test_empty_batch_solves_to_no_outcomes(self, run):
         fact = second_derivative_problem(10, np.sin).factorization
         assert run(NoisyProblem(fact, np.zeros((0, 10)), np.zeros(0)), DiscrepancyRule(1.1)) == ()
 
@@ -653,6 +655,28 @@ class TestBatch:
     def test_one_delta_per_row_required(self, delta):
         with pytest.raises(DimensionMismatch, match=r"^delta has shape .*, expected \(3,\)$"):
             NoisyProblem(from_diagonal([1.0, 0.5]), np.ones((3, 2)), delta)
+
+    @pytest.mark.parametrize("function", [discrepancy, solution_at, tikhonov_solution])
+    @pytest.mark.parametrize("rows, value", [(2, np.ones(3)), (2, np.ones((2, 1))), (None, np.ones(2))],
+                             ids=["too-many", "column", "many-on-one"])
+    def test_per_row_value_of_wrong_shape_rejected(self, function, rows, value):
+        # t or alpha is one value, or one per row: any other shape is typed
+        fact = from_diagonal([1.0, 0.5])
+        rhs, delta = (np.ones(2), 0.1) if rows is None else (np.ones((rows, 2)), np.full(rows, 0.1))
+        with pytest.raises(DimensionMismatch, match=r"^(t|alpha) has shape \(.*\), not \(\) or \(\d,\)$"):
+            function(NoisyProblem(fact, rhs, delta), value)
+
+    def test_overflowing_apriori_row_does_not_stop_the_others(self):
+        # C / delta**gamma overflows at delta = 1e-320: that row alone fails,
+        # naming its delta, and the other row is its own single solve
+        fact, rhs, _ = self._sine_batch(range(2))
+        rule = AprioriRule(1.0, 0.99)
+        batch = solve(NoisyProblem(fact, rhs, np.array([0.1, 1e-320])), rule)
+        assert isinstance(batch[1], DomainError)
+        assert "delta=1e-320 overflows" in str(batch[1])
+        assert _outcome_key(batch[0]) == _outcome_key(solve(NoisyProblem(fact, rhs[0], 0.1), rule))
+        with pytest.raises(DomainError, match="delta=1e-320 overflows"):
+            solve(NoisyProblem(fact, rhs[1], 1e-320), rule)
 
     def test_nonpositive_delta_in_any_row_rejected(self):
         with pytest.raises(DomainError, match="must be positive and finite"):
@@ -770,16 +794,17 @@ class TestSolve:
         except DsmgError:
             return
         target = 1.1 * problem.delta
+        # the flow's t, and Tikhonov's alpha = 1 / beta
         methods = (
-            (lambda: solve(problem, DiscrepancyRule(C=1.1)), "t_delta"),
-            (lambda: vr_solve(problem, DiscrepancyRule(1.1)), "alpha"),
+            (lambda: solve(problem, DiscrepancyRule(C=1.1)), lambda t: t),
+            (lambda: vr_solve(problem, DiscrepancyRule(1.1)), lambda beta: 1.0 / beta),
         )
         for method, parameter in methods:
             try:
                 report = method()
             except DsmgError:
                 continue
-            assert math.isfinite(getattr(report, parameter))
+            assert math.isfinite(parameter(report.t_delta))
             assert math.isfinite(report.residual_norm)
             assert abs(report.residual_norm - target) <= 1e-8 * target
 
