@@ -25,7 +25,9 @@ def _vr_residual(problem: NoisyProblem, beta: np.ndarray):
     rate lam_i / (1 + lam_i beta).
     """
     lam = problem.factorization.eigenvalues
-    damping = lam * beta[:, None]
+    # an overflowing lam*beta rounds to inf silently: its mode keeps 1 / inf = 0
+    with np.errstate(over="ignore"):
+        damping = lam * beta[:, None]
     damping += 1.0
     np.reciprocal(damping, out=damping)
     rate = damping * lam

@@ -13,8 +13,11 @@ basis is:
   systems of FFT size never materialize an n x n identity matrix;
 - a dense array;
 - an orthonormal transform: a frozen object with ``shape``, ``apply(x)``
-  (B x) and ``adjoint(y)`` (B* y), acting on 1-d vectors and on dim x p
-  blocks along axis 0, such as a fast sine transform that never stores B.
+  (B x) and ``adjoint(y)`` (B* y), such as a fast sine transform that never
+  stores B.
+
+Every product takes a 1-d vector or a p x dim stack of rows along the last
+axis, numpy's FFT layout: B X of a dense B is ``X @ B.T``.
 
 ``_left_multiply`` and ``_adjoint_multiply`` are the only code that tells
 the three kinds apart; every check and product goes through them, A X of a
@@ -25,16 +28,16 @@ copy with a checked shape and finite entries. Every operation is a pure
 function, so values can be shared freely across threads.
 
 Factorizations are checked with Freivalds-style probes: X is a fixed-seed
-block of p = 8 standard normal columns, and for a defect matrix E the mean of
+stack of p = 8 standard normal rows, and for a defect matrix E the mean of
 ||E X||_F^2 is p ||E||_F^2, so ||E X||_F / sqrt(p) estimates the Frobenius
 defect from matrix-block products, with no dim x dim temporary; ||A||_F is
-estimated from A X the same way. The seed is
-fixed and the global ``np.random`` state is never touched, so every check is
-deterministic.
+estimated from A X the same way. The seed is fixed and the global
+``np.random`` state is never touched, so every check is deterministic, and
+the stack of the last size drawn is kept for the next check.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Protocol
 
 import numpy as np
@@ -43,7 +46,7 @@ from .errors import DimensionMismatch, DomainError, FactorizationFailure
 
 UNITARY_TOL_PER_DIM = 1e-10
 RECON_TOL_PER_DIM = 1e-10
-# columns p of the probe block and its fixed seed
+# rows p of the probe stack and its fixed seed
 _PROBES = 8
 _PROBE_SEED = 0x5EED
 # largest modulus whose square is finite in float64
@@ -51,7 +54,7 @@ MAX_SINGULAR_VALUE = float(np.sqrt(np.finfo(np.float64).max))
 
 
 class _Transform(Protocol):
-    """An orthonormal basis applied as an operator instead of stored as an array."""
+    """An orthonormal basis applied as an operator to vectors and p x dim stacks of rows."""
 
     shape: tuple[int, int]
 
@@ -83,15 +86,27 @@ def _admitted(values, name: str, shape=None, *, ndim=None, dtype=None) -> np.nda
     return out
 
 
+def _real(value, name: str) -> np.ndarray:
+    """value as a fresh float array; DomainError if it is complex or not a number."""
+    values = np.asarray(value)
+    if values.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real, not of dtype {values.dtype}")
+    return values.astype(float)
+
+
 def _require_positive(value, name: str) -> None:
     """The admission rule of a bound, or of each in an array: positive and finite, or DomainError."""
-    if not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+    values = _real(value, name)
+    if not np.all(np.isfinite(values) & (values > 0)):
         raise DomainError(f"{name}={value} must be positive and finite")
 
 
-def _probes(rows: int) -> np.ndarray:
-    """The rows x p block of standard normals that every check uses."""
-    return np.random.default_rng(_PROBE_SEED).standard_normal((rows, _PROBES))
+@lru_cache(maxsize=1)
+def _probes(dim: int) -> np.ndarray:
+    """The read-only p x dim stack of standard normals that every check uses, drawn dim x p."""
+    out = np.random.default_rng(_PROBE_SEED).standard_normal((dim, _PROBES)).T.copy()
+    out.setflags(write=False)
+    return out
 
 
 def _probe_norm(block: np.ndarray) -> float:
@@ -132,7 +147,7 @@ class SpectralFactorization:
 
     A stored basis B of ``dim`` rows must pass the orthonormality check
     ||B* (B X) - X||_F / sqrt(p) <= UNITARY_TOL_PER_DIM * dim, with X the
-    seeded k x p probe block (p = 8): a probe estimate of ||B* B - I||_F that
+    seeded p x k probe stack (p = 8): a probe estimate of ||B* B - I||_F that
     costs about 4 * dim * k * p flops for a dense B instead of a
     2 * dim * k^2 Gram product. A transform runs the same probe through its
     ``apply`` and ``adjoint``. Otherwise DomainError is raised.
@@ -177,22 +192,22 @@ class SpectralFactorization:
         return out
 
 
-def _left_multiply(basis: _Basis, vec: np.ndarray) -> np.ndarray:
-    """B vec for a basis of any of the three kinds, or A vec for a checked A."""
+def _left_multiply(basis: _Basis, rows: np.ndarray) -> np.ndarray:
+    """B x of each row x, for a basis of any of the three kinds or a checked A."""
     if basis is None:
-        return vec
+        return rows
     if isinstance(basis, np.ndarray):
-        return basis @ vec
-    return basis.apply(vec)
+        return rows @ basis.T
+    return basis.apply(rows)
 
 
-def _adjoint_multiply(basis: _Basis, vec: np.ndarray) -> np.ndarray:
-    """B* vec for a basis of any of the three kinds."""
+def _adjoint_multiply(basis: _Basis, rows: np.ndarray) -> np.ndarray:
+    """B* y of each row y, for a basis of any of the three kinds."""
     if basis is None:
-        return vec
+        return rows
     if isinstance(basis, np.ndarray):
-        return basis.conj().T @ vec
-    return basis.adjoint(vec)
+        return rows @ basis.conj()
+    return basis.adjoint(rows)
 
 
 def factorize_svd(matrix) -> SpectralFactorization:
@@ -207,7 +222,7 @@ def factorize_svd(matrix) -> SpectralFactorization:
 
     The result is checked by a seeded probe estimate of the Frobenius
     reconstruction defect, ||U (S (V* X)) - A X||_F / sqrt(p) with X the
-    n x p probe block (p = 8), against RECON_TOL_PER_DIM * min(m, n) *
+    p x n probe stack (p = 8), against RECON_TOL_PER_DIM * min(m, n) *
     ||A||_F, with ||A||_F estimated as ||A X||_F / sqrt(p). It costs about
     2 * p * (m k + n k + m n) flops and builds no m x n array. Both norms are
     taken after dividing by c, the largest modulus of an entry of A X, so the
@@ -250,7 +265,7 @@ def _check_reconstruction(a, fact: SpectralFactorization) -> None:
     # part by part: numpy's complex / real takes 1 / peak, which overflows
     # for a subnormal peak
     reference = product.real / peak + 1j * (product.imag / peak)
-    recon = _left_multiply(u, (s / peak)[:, None] * _adjoint_multiply(v, x))
+    recon = _left_multiply(u, (s / peak) * _adjoint_multiply(v, x))
     recon_defect = _probe_norm(recon - reference)
     # negated, so that a NaN defect from a transform fails too
     if not recon_defect <= RECON_TOL_PER_DIM * min(fact.shape) * _probe_norm(reference):

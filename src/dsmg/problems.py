@@ -20,9 +20,9 @@ G_ij = min(x_i, x_j) - x_i x_j, and the exact diagonal-cell integral exceeds
     K = -h G + (h^2 / 6) I.
 
 No solve needs K as an array. ``TestProblem.apply`` computes K x from this
-formula in O(N), by two prefix sums plus the diagonal-cell term, and b = K u
-is computed that way; ``TestProblem.matrix`` assembles K only for a caller
-that reads it.
+formula in O(N), by two prefix sums plus the diagonal-cell term, for a
+vector or for each row of a p x N stack, and b = K u is computed that way;
+``TestProblem.matrix`` assembles K only for a caller that reads it.
 
 G^-1 = T / h is the second-difference matrix T = tridiag(-1, 2, -1) with
 T_11 = T_NN = 3: Dirichlet ends half a cell outside the grid. The DST-II
@@ -56,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import SpectralFactorization, _admitted, _check_reconstruction
+from .linalg import SpectralFactorization, _admitted, _check_reconstruction, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +78,7 @@ class TestProblem:
         object.__setattr__(self, "exact_solution", solution)
 
     def apply(self, x) -> np.ndarray:
-        """K x for a vector or an N x p block along axis 0, in O(N p).
+        """K x for a vector, or of each row x of a p x N stack, in O(N p).
 
         For midpoints m_i < m_j, G_ij = m_i (1 - m_j), so
         (G x)_i = (1 - m_i) sum_(j <= i) m_j x_j + m_i sum_(j > i) (1 - m_j) x_j:
@@ -88,10 +88,10 @@ class TestProblem:
         n = len(self.exact_solution)
         x = _checked(x, n)
         h = 1.0 / n
-        mid = _along_rows(_midpoints(n), x)
-        before = np.cumsum(mid * x, axis=0)
+        mid = _midpoints(n)
+        before = np.cumsum(mid * x, axis=-1)
         after = np.zeros_like(before)
-        after[:-1] = np.cumsum(((1.0 - mid) * x)[:0:-1], axis=0)[::-1]
+        after[..., :-1] = np.cumsum(((1.0 - mid) * x)[..., :0:-1], axis=-1)[..., ::-1]
         return (h * h / 6.0) * x - h * ((1.0 - mid) * before + mid * after)
 
     @cached_property
@@ -138,7 +138,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.delta_rel < 1.0:
+        if not 0.0 < _real(self.delta_rel, "delta_rel") < 1.0:
             raise DomainError(f"delta_rel={self.delta_rel} must lie in (0, 1)")
         seed = self.seed  # bool is an int subclass, but a flag is not a seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -146,16 +146,11 @@ class NoiseSpec:
 
 
 def _checked(data, n: int) -> np.ndarray:
-    """data as an array: a length-n vector or an n x p block, else DimensionMismatch."""
+    """data as an array: a length-n vector or a p x n stack, else DimensionMismatch."""
     data = np.asarray(data)
-    if data.ndim not in (1, 2) or len(data) != n:
+    if data.ndim not in (1, 2) or data.shape[-1] != n:
         raise DimensionMismatch(f"input of shape {data.shape} does not match {(n, n)}")
     return data
-
-
-def _along_rows(vec: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """vec shaped to scale the rows of data, a vector or a block along axis 0."""
-    return vec if data.ndim == 1 else vec[:, None]
 
 
 def _midpoints(n: int) -> np.ndarray:
@@ -181,14 +176,13 @@ class _SineBasis:
     """The orthonormal DST-II basis V_jk = w_k sin((2j - 1) k pi / (2N)), w_k = ``weights``.
 
     Applied by one real FFT of length 4N with the data at the odd indices,
-    in O(N log N) time and O(N) memory per column; no N x N array is built.
+    in O(N log N) time and O(N) memory per vector; no N x N array is built.
     For z_(2j-1) = y_j, the DFT gives -Im rfft(z)_k = sum_j y_j
     sin((2j - 1) k pi / (2N)), which is V* y before the weights, and irfft
     of -i a_k yields the same sines at the odd indices, which is V x. Acts on
-    1-d vectors and on N x p blocks along axis 0, each column by its own FFT
-    along the last axis of a p x 4N buffer, so a block made from the rows of
-    a k x N stack reads and writes contiguous rows; complex input is split
-    into its real and imaginary parts.
+    1-d vectors and on p x N stacks, each row by its own FFT along the last
+    axis, where numpy's FFT is fastest; complex input is split into its real
+    and imaginary parts.
     """
 
     weights: np.ndarray
@@ -203,11 +197,11 @@ class _SineBasis:
         x = _checked(x, n)
         if np.iscomplexobj(x):
             return self.apply(x.real) + 1j * self.apply(x.imag)
-        # each column is transformed along the last axis, where numpy's FFT is fastest
-        spectrum = np.zeros(x.shape[1:] + (2 * n + 1,), dtype=complex)
+        spectrum = np.zeros(x.shape[:-1] + (2 * n + 1,), dtype=complex)
         # irfft weighs bins 1..2N-1 by 2 / (4N)
-        spectrum.imag[..., 1:n + 1] = x.T * (-2.0 * n * self.weights)
-        return np.fft.irfft(spectrum, n=4 * n, axis=-1)[..., 1:2 * n:2].T
+        spectrum.imag[..., 1:n + 1] = x * (-2.0 * n * self.weights)
+        # copied, so that the result does not keep the 4N-point buffer alive
+        return np.fft.irfft(spectrum, n=4 * n, axis=-1)[..., 1:2 * n:2].copy()
 
     def adjoint(self, y) -> np.ndarray:
         """V* y: a DST-II, then the weights."""
@@ -215,9 +209,9 @@ class _SineBasis:
         y = _checked(y, n)
         if np.iscomplexobj(y):
             return self.adjoint(y.real) + 1j * self.adjoint(y.imag)
-        padded = np.zeros(y.shape[1:] + (4 * n,))
-        padded[..., 1:2 * n:2] = y.T
-        return (np.fft.rfft(padded, axis=-1)[..., 1:n + 1].imag * -self.weights).T
+        padded = np.zeros(y.shape[:-1] + (4 * n,))
+        padded[..., 1:2 * n:2] = y
+        return np.fft.rfft(padded, axis=-1)[..., 1:n + 1].imag * -self.weights
 
 
 def _dst2_factorization(N: int) -> SpectralFactorization:

@@ -15,8 +15,8 @@ Both report through ``_outcomes``, with beta as the ``t_delta`` of Tikhonov.
 
 A problem holds one right-hand side or a k x m stack of them, one per row,
 that share the factorization: the noise draws of one experiment. The rows
-are solved together, not one by one. Each transform acts on all rows as one
-block, each pass damps all rows at their own t, and the Newton search steps
+are solved together, not one by one. Each basis acts on all rows as one
+stack, each pass damps all rows at their own t, and the Newton search steps
 all rows in lockstep; a row whose search fails is recorded, and the others
 go on. A single right-hand side is the one-row case of the same code: the
 core's per-row arrays are shaped as ``f_delta`` is only by public functions.
@@ -37,7 +37,7 @@ from .errors import (
     UnattainableDiscrepancy,
 )
 from .linalg import (
-    SpectralFactorization, _adjoint_multiply, _admitted, _left_multiply, _require_positive,
+    SpectralFactorization, _adjoint_multiply, _admitted, _left_multiply, _real, _require_positive,
 )
 
 NEWTON_TOL_REL = 1e-8
@@ -53,7 +53,7 @@ class DiscrepancyRule:
     C: float = 1.1
 
     def __post_init__(self):
-        if not 1.0 < self.C < 2.0:
+        if not 1.0 < _real(self.C, "discrepancy constant C") < 2.0:
             raise DomainError(f"discrepancy constant C={self.C} must lie in (1, 2)")
 
 
@@ -66,7 +66,7 @@ class AprioriRule:
 
     def __post_init__(self):
         _require_positive(self.C, "a priori constant C")
-        if not 0.0 < self.gamma < 1.0:
+        if not 0.0 < _real(self.gamma, "a priori exponent gamma") < 1.0:
             raise DomainError(f"a priori exponent gamma={self.gamma} must lie in (0, 1)")
 
 
@@ -97,7 +97,7 @@ class NoisyProblem:
         m, n = self.factorization.shape
         rows = np.shape(self.f_delta)[:1] if np.ndim(self.f_delta) == 2 else ()
         object.__setattr__(self, "f_delta", _admitted(self.f_delta, "f_delta", rows + (m,)))
-        delta = np.array(self.delta, dtype=float)
+        delta = _real(self.delta, "delta")
         if delta.shape != rows:
             raise DimensionMismatch(f"delta has shape {delta.shape}, expected {rows}")
         _require_positive(delta, "delta")
@@ -115,8 +115,11 @@ class NoisyProblem:
         return values.reshape(self._rows, values.shape[-1])
 
     def _per_row(self, values, name: str) -> np.ndarray:
-        """A value for every row: an array of k, broadcast from a scalar; else DimensionMismatch."""
-        values = np.asarray(values, dtype=float)
+        """A value for every row: an array of k, broadcast from a scalar.
+
+        Raises DimensionMismatch on another shape and DomainError unless real.
+        """
+        values = _real(values, name)
         if values.shape not in ((), (self._rows,)):
             raise DimensionMismatch(f"{name} has shape {values.shape}, not () or ({self._rows},)")
         return values if values.ndim else np.full(self._rows, values)
@@ -135,7 +138,7 @@ class NoisyProblem:
         basis = self.factorization.u_basis
         if basis is None:
             return self.f_delta
-        out = _row_product(_adjoint_multiply, basis, self.f_delta)
+        out = _adjoint_multiply(basis, self.f_delta)
         out.setflags(write=False)
         return out
 
@@ -148,7 +151,7 @@ class NoisyProblem:
         fact = self.factorization
         if fact.shape[0] == len(fact.diag):
             return np.zeros(self._rows)
-        off = self.f_delta - _row_product(_left_multiply, fact.u_basis, self.rhs_coefficients)
+        off = self.f_delta - _left_multiply(fact.u_basis, self.rhs_coefficients)
         return _scaled_norms(self._stacked(off))
 
     @cached_property
@@ -221,7 +224,9 @@ def evolution_filter(lam, t):
     if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
         raise DomainError(f"t={t} must be nonnegative and finite")
     gains = np.full(np.broadcast_shapes(lam_arr.shape, t_arr.shape), t_arr)
-    np.divide(-np.expm1(-t_arr * lam_arr), lam_arr, out=gains, where=lam_arr > 0)
+    # an overflowing t*lam rounds to inf silently, and the gain is then 1 / lam
+    with np.errstate(over="ignore"):
+        np.divide(-np.expm1(-t_arr * lam_arr), lam_arr, out=gains, where=lam_arr > 0)
     # subnormal t*lam can round the quotient above the exact bound t
     np.minimum(gains, t_arr, out=gains)
     if gains.ndim == 0:
@@ -229,20 +234,16 @@ def evolution_filter(lam, t):
     return gains
 
 
-def _row_product(multiply, basis, rows: np.ndarray) -> np.ndarray:
-    """multiply(basis, row) of every row, as one block along axis 0; the result rows contiguous."""
-    return np.ascontiguousarray(multiply(basis, rows.T).T)
-
-
 def _synthesis(problem: NoisyProblem, gains: np.ndarray) -> np.ndarray:
     """u = u0 + V (gains * r0) of every row, the state of either method.
 
-    u0 outside span(V) never moves. ``gains`` must be fresh: the step
-    overwrites it when r0's dtype casts to it.
+    V acts on the stack of rows in one product. u0 outside span(V) never
+    moves. ``gains`` must be fresh: the step overwrites it when r0's dtype
+    casts to it.
     """
     r0 = problem.initial_residual_coefficients
     step = np.multiply(gains, r0, out=gains) if np.can_cast(r0.dtype, gains.dtype) else gains * r0
-    out = _row_product(_left_multiply, problem.factorization.v_basis, step)
+    out = _left_multiply(problem.factorization.v_basis, step)
     out += problem.u0
     return out
 
@@ -311,7 +312,9 @@ def _residual_pass(problem: NoisyProblem, t: np.ndarray):
     Mode i keeps exp(-t*lam_i) and decays at rate lam_i.
     """
     lam = problem.factorization.eigenvalues
-    damping = lam * -t[:, None]
+    # an overflowing t*lam rounds to -inf silently: exp damps its mode to 0
+    with np.errstate(over="ignore"):
+        damping = lam * -t[:, None]
     np.exp(damping, out=damping)
     return _norm_and_slope(problem, damping, lam)
 

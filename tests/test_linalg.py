@@ -340,7 +340,7 @@ class TestMinimalNormSolution:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A basis stored as a transform: B x reorders the rows of x, scaled by ``gain``."""
+    """A basis stored as a transform: B x reorders the entries of each row x, scaled by ``gain``."""
 
     order: tuple
     gain: float = 1.0
@@ -351,11 +351,11 @@ class Permutation:
 
     def apply(self, x):
         out = np.empty_like(x)
-        out[list(self.order)] = x
+        out[..., list(self.order)] = x
         return self.gain * out
 
     def adjoint(self, y):
-        return self.gain * y[list(self.order)]
+        return self.gain * y[..., list(self.order)]
 
 
 @dataclass(frozen=True)
@@ -516,7 +516,7 @@ class DenseOperator:
     matrix: np.ndarray
 
     def apply(self, x):
-        return self.matrix @ x
+        return x @ self.matrix.T
 
 
 class TestReconstructionCheck:
@@ -585,6 +585,16 @@ class TestChecksDeterministic:
         after = np.random.get_state()
         assert before[0] == after[0] and before[2:] == after[2:]
         assert np.array_equal(before[1], after[1])
+
+    def test_probe_stack_drawn_once_per_size_and_frozen(self):
+        # the p x dim stack holds the dim x p block of the seeded draw, transposed;
+        # a second call at one size returns the same read-only array
+        stack = linalg._probes(11)
+        drawn = np.random.default_rng(linalg._PROBE_SEED).standard_normal((11, linalg._PROBES))
+        assert np.array_equal(stack, drawn.T)
+        assert linalg._probes(11) is stack
+        assert not stack.flags.writeable
+        assert linalg._probes(12).shape == (linalg._PROBES, 12)
 
 
 def _noisy(f_delta=np.ones(3), u0=None) -> NoisyProblem:

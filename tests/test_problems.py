@@ -143,15 +143,16 @@ class TestMatrixFreeOperator:
     """TestProblem.apply, the O(N) Green's operator, against the dense matrix."""
 
     @pytest.mark.parametrize("n", [2, 7, 100, 800])
-    @pytest.mark.parametrize("columns", [(), (8,)])
-    def test_apply_matches_dense_matrix(self, n, columns):
+    @pytest.mark.parametrize("rows", [(), (8,)])
+    def test_apply_matches_dense_matrix(self, n, rows):
         problem = second_derivative_problem(n, np.sin)
-        data = np.random.default_rng(n).standard_normal((n,) + columns)
+        # a vector, or a stack of 8 rows
+        data = np.random.default_rng(n).standard_normal((n,) + rows).T
         got = problem.apply(data)
         assert got.shape == data.shape
-        assert relative_gap(got, problem.matrix @ data) <= 1e-14
+        assert relative_gap(got, data @ problem.matrix.T) <= 1e-14
 
-    @pytest.mark.parametrize("shape", [(), (4,), (6,), (4, 2), (5, 2, 1)])
+    @pytest.mark.parametrize("shape", [(), (4,), (6,), (2, 4), (5, 2), (1, 2, 5)])
     def test_apply_rejects_wrong_shape(self, shape):
         problem = second_derivative_problem(5, np.sin)
         with pytest.raises(DimensionMismatch):
@@ -216,12 +217,12 @@ class TestClosedFormFactorization:
         fact = problem.factorization
         assert fact is problem.factorization
         assert fact.shape == (n, n)
-        # U = V, one basis applied by FFT; checked on one probe block
+        # U = V, one basis applied by FFT; checked on one stack of 8 rows
         assert fact.u_basis is fact.v_basis
         dense = dst2_basis(n)
-        block = np.random.default_rng(n).standard_normal((n, 8))
-        assert relative_gap(fact.v_basis.apply(block), dense @ block) <= 1e-14
-        assert relative_gap(fact.v_basis.adjoint(block), dense.T @ block) <= 1e-14
+        stack = np.random.default_rng(n).standard_normal((n, 8)).T
+        assert relative_gap(fact.v_basis.apply(stack), stack @ dense.T) <= 1e-14
+        assert relative_gap(fact.v_basis.adjoint(stack), stack @ dense) <= 1e-14
         # rebuilding reruns the orthonormality check on the shared basis
         SpectralFactorization(fact.u_basis, fact.v_basis, fact.diag)
         _check_reconstruction(problem.matrix, fact)
@@ -250,7 +251,7 @@ class TestClosedFormFactorization:
         exact = problems.TestProblem.apply
 
         def dropped(self, x):
-            return exact(self, x) - np.asarray(x) / (6.0 * len(x) ** 2)
+            return exact(self, x) - np.asarray(x) / (6.0 * np.shape(x)[-1] ** 2)
 
         monkeypatch.setattr(problems.TestProblem, "apply", dropped)
         problem = second_derivative_problem(n, np.sin)
@@ -262,17 +263,21 @@ class TestSineBasis:
     """The FFT-applied DST-II basis against the dense construction."""
 
     @pytest.mark.parametrize("n", [2, 3, 7, 10, 800])
-    @pytest.mark.parametrize("columns", [(), (8,)])
-    def test_matches_dense_oracle(self, n, columns):
+    @pytest.mark.parametrize("rows", [(), (8,)])
+    def test_matches_dense_oracle(self, n, rows):
         fact = problems._dst2_factorization(n)
         dense = dst2_basis(n)
         rng = np.random.default_rng(n)
-        data = rng.standard_normal((n,) + columns)
+        # a vector, or a stack of 8 rows
+        data = rng.standard_normal((n,) + rows).T
         basis = fact.v_basis
         assert fact.u_basis is basis
         assert basis.shape == (n, n)
-        assert relative_gap(basis.apply(data), dense @ data) <= 1e-14
-        assert relative_gap(basis.adjoint(data), dense.T @ data) <= 1e-14
+        got = basis.apply(data)
+        assert relative_gap(got, data @ dense.T) <= 1e-14
+        # owns its memory: a view would keep the 4N-point FFT buffer alive
+        assert got.base is None
+        assert relative_gap(basis.adjoint(data), data @ dense) <= 1e-14
 
     def test_complex_input_split_into_parts(self):
         basis = problems._dst2_factorization(9).v_basis
@@ -282,7 +287,7 @@ class TestSineBasis:
         assert relative_gap(basis.apply(data), dense @ data) <= 1e-14
         assert relative_gap(basis.adjoint(data), dense.T @ data) <= 1e-14
 
-    @pytest.mark.parametrize("shape", [(1,), (4,), (5, 2), (6, 2, 1)])
+    @pytest.mark.parametrize("shape", [(1,), (4,), (2, 5), (6, 2), (1, 2, 6)])
     def test_rejects_wrong_shape(self, shape):
         basis = problems._dst2_factorization(6).v_basis
         for method in (basis.apply, basis.adjoint):

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_matrix, random_problem
 from dsmg import (
     AprioriRule,
+    CirculantProblem,
     DimensionMismatch,
     DiscrepancyRule,
     DomainError,
@@ -851,6 +852,47 @@ class TestSolve:
                 AprioriRule(C=constant)
         with pytest.raises(DomainError):
             AprioriRule(C=1.0, gamma=1.0)
+
+    @pytest.mark.parametrize("run", [solve, vr_solve], ids=["flow", "tikhonov"])
+    def test_largest_admitted_spectrum_solves_without_overflow_warning(self, run):
+        # |s| = 1.3e154 is admitted, but t * lam overflows once t > 1.06; under
+        # pytest's filterwarnings = error a numpy overflow warning fails the test
+        problem = NoisyProblem(from_diagonal([1.3e154, 1.0]), [1.0, 1.0], 0.1)
+        report = run(problem, DiscrepancyRule(1.1))
+        assert report.t_delta == pytest.approx(2.2073 if run is solve else 8.0909, rel=1e-4)
+        assert report.residual_norm == pytest.approx(0.11, rel=1e-8)
+
+    def test_filter_of_overflowing_product_is_warning_free(self):
+        assert evolution_filter(1.69e308, 2.0) == pytest.approx(5.917e-309, rel=1e-3)
+
+
+def _two_row_problem():
+    return NoisyProblem(from_diagonal([1.0, 0.5]), np.ones((2, 2)), np.full(2, 0.1))
+
+
+NOT_REAL = {
+    "apriori-C": lambda: AprioriRule(C=1j),
+    "apriori-gamma": lambda: AprioriRule(gamma=0.5j),
+    "discrepancy-rule-C": lambda: DiscrepancyRule(1.5j),
+    "noise-spec-delta-rel": lambda: NoiseSpec(0.1j, 0),
+    "gaussian-psf-sigma": lambda: gaussian_psf(4, 4, 1j),
+    "circulant-delta": lambda: CirculantProblem(np.ones(4), np.ones(4), 1j),
+    "noisy-problem-delta": lambda: NoisyProblem(from_diagonal([1.0]), [1.0], 1j),
+    "noisy-problem-row-deltas": lambda: NoisyProblem(from_diagonal([1.0]), [[1.0]], ["0.1"]),
+    "discrepancy-t": lambda: discrepancy(scalar_problem(), 1j),
+    "discrepancy-text": lambda: discrepancy(scalar_problem(), "x"),
+    "discrepancy-row-times": lambda: discrepancy(_two_row_problem(), [1.0, 1j]),
+    "solution-at-t": lambda: solution_at(scalar_problem(), 1j),
+    "tikhonov-alpha": lambda: tikhonov_solution(scalar_problem(), 1j),
+    "tikhonov-object-alpha": lambda: tikhonov_solution(scalar_problem(), object()),
+}
+
+
+@pytest.mark.parametrize("call", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_complex_or_non_numeric_value_is_a_domain_error(call):
+    # numpy orders complex numbers lexicographically, so 1j > 0 must not admit it
+    with pytest.raises(DomainError, match=" must be real, not of dtype "):
+        call()
 
 
 class TestLandweber:
