@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import _admitted, _require_positive, from_diagonal
+from .linalg import _admitted, _admitted_fresh, _require_positive, from_diagonal
 from .solver import NoisyProblem, SolveReport, StoppingRule, solve
 
 
@@ -54,6 +54,13 @@ class GrayImage:
 
     def __post_init__(self):
         object.__setattr__(self, "pixels", _admitted(self.pixels, "pixels", ndim=2, dtype=float))
+
+    @classmethod
+    def _of_fresh(cls, pixels: np.ndarray) -> "GrayImage":
+        """An image that takes over ``pixels``, a new float array no one else holds, uncopied."""
+        image = cls.__new__(cls)
+        object.__setattr__(image, "pixels", _admitted_fresh(pixels, "pixels", ndim=2))
+        return image
 
     @property
     def width(self) -> int:

@@ -24,8 +24,11 @@ the three kinds apart; every check and product goes through them, A X of a
 checked matrix or operator A included.
 
 One rule admits every input array of the package, ``_admitted``: a frozen
-copy with a checked shape and finite entries. Every operation is a pure
-function, so values can be shared freely across threads.
+copy with a checked shape and finite entries. An array that the package has
+just made itself, such as a decoded PGM raster, passes the same checks in
+``_admitted_fresh`` and is frozen in place instead of copied. Every
+operation is a pure function, so values can be shared freely across
+threads.
 
 Factorizations are checked with Freivalds-style probes: X is a fixed-seed
 stack of p = 8 standard normal rows, and for a defect matrix E the mean of
@@ -76,7 +79,16 @@ def _admitted(values, name: str, shape=None, *, ndim=None, dtype=None) -> np.nda
 
     Raises DimensionMismatch on another shape and DomainError on a non-finite entry.
     """
-    out = np.array(values, dtype=dtype, copy=True)
+    return _admitted_fresh(np.array(values, dtype=dtype, copy=True), name, shape, ndim=ndim)
+
+
+def _admitted_fresh(out: np.ndarray, name: str, shape=None, *, ndim=None) -> np.ndarray:
+    """``out`` itself, checked as ``_admitted`` checks its copy and frozen in place.
+
+    Only for an array that its caller has just made and that no one else
+    holds, such as a decoded raster: nothing can write to it afterwards, so
+    it needs no copy.
+    """
     if shape is not None and out.shape != shape:
         raise DimensionMismatch(f"{name} has shape {out.shape}, expected {shape}")
     if ndim is not None and (out.ndim != ndim or out.size == 0):
@@ -86,12 +98,17 @@ def _admitted(values, name: str, shape=None, *, ndim=None, dtype=None) -> np.nda
     return out
 
 
-def _real(value, name: str) -> np.ndarray:
-    """value as a fresh float array; DomainError if it is complex or not a number."""
+def _real(value, name: str, *, copy: bool = True) -> np.ndarray:
+    """value as a float array, fresh unless ``copy`` is False; DomainError unless real.
+
+    The dtype kind is checked before any conversion, so complex and
+    non-numeric input, a string of digits included, is rejected, and with
+    ``copy=False`` a float64 array is returned as it is.
+    """
     values = np.asarray(value)
     if values.dtype.kind not in "biuf":
         raise DomainError(f"{name} must be real, not of dtype {values.dtype}")
-    return values.astype(float)
+    return values.astype(float, copy=copy)
 
 
 def _require_positive(value, name: str) -> None:

@@ -76,7 +76,8 @@ def read_pgm(path) -> GrayImage:
                     f"pixel {i} value {value} exceeds maxval {maxval}", match.start(1)
                 )
             raster.append(value)
-    return GrayImage((np.asarray(raster) / maxval).reshape(height, width))
+    # the quotient is a new array, so the image takes it over without a copy
+    return GrayImage._of_fresh((np.asarray(raster) / maxval).reshape(height, width))
 
 
 def write_pgm(image: GrayImage, path) -> None:

@@ -36,20 +36,21 @@ So K = V S V* with S_k = h^2 (1/6 - 1 / (4 sin^2 theta_k)), negative and
 strictly increasing in k: the eigendecomposition, with the eigenvalues in
 the ascending order of ``np.linalg.eigh``, and U = V is one basis. It is not
 stored as an array: V is a fast sine transform, applied by one real FFT of
-length 4N in O(N log N) time and O(N) memory. The factorization passes the
-same orthonormality and reconstruction checks as ``factorize_svd``, run
-through the transform. The reconstruction check reads only K X, here from
-``apply``, not from the matrix, so it checks the DST-II spectrum against the
-Green's-kernel formula, two independent derivations of K. ``factorize_svd``,
-and so ``dsmg solve`` on a matrix file, factors K by ``np.linalg.eigh``
-instead: a matrix read from a file is not known to belong to the family.
+length N after Makhoul's even/odd reordering, in O(N log N) time and O(N)
+memory. The factorization passes the same orthonormality and
+reconstruction checks as ``factorize_svd``, run through the transform. The
+reconstruction check reads only K X, here from ``apply``, not from the
+matrix, so it checks the DST-II spectrum against the Green's-kernel formula,
+two independent derivations of K. ``factorize_svd``, and so ``dsmg solve``
+on a matrix file, factors K by ``np.linalg.eigh`` instead: a matrix read
+from a file is not known to belong to the family.
 
 Noise is generated by a Box-Muller transform over the PCG64 generator, so a
 seed pins the realization bit-for-bit across platforms, and is rescaled so
 that ||noise|| = delta_rel * ||b|| holds exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -175,33 +176,67 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
 class _SineBasis:
     """The orthonormal DST-II basis V_jk = w_k sin((2j - 1) k pi / (2N)), w_k = ``weights``.
 
-    Applied by one real FFT of length 4N with the data at the odd indices,
-    in O(N log N) time and O(N) memory per vector; no N x N array is built.
-    For z_(2j-1) = y_j, the DFT gives -Im rfft(z)_k = sum_j y_j
-    sin((2j - 1) k pi / (2N)), which is V* y before the weights, and irfft
-    of -i a_k yields the same sines at the odd indices, which is V x. Acts on
-    1-d vectors and on p x N stacks, each row by its own FFT along the last
-    axis, where numpy's FFT is fastest; complex input is split into its real
-    and imaginary parts.
+    Applied by one real FFT of length N (Makhoul, "A fast cosine transform
+    in one and two dimensions", IEEE TASSP 28, 1980), in O(N log N) time and
+    O(N) memory per vector; no N x N array is built. ``adjoint`` reorders y
+    as (y_1, y_3, ..., -y_4, -y_2): the odd-indexed entries, then the
+    even-indexed ones negated and reversed. With Y its rfft and theta_k =
+    k pi / (2N), sum_j y_j sin((2j - 1) theta_k) = -Im(exp(-i theta_k) Y_k),
+    which is V* y before the weights. rfft keeps k <= N/2; since Y_(N-m) =
+    conj(Y_m), the entries k = N - m are Re(exp(-i theta_m) Y_m), and the
+    Nyquist bin of an even N is read once, for k = N/2. ``apply`` runs the
+    transpose of each step in reverse order, irfft in place of rfft, so
+    V x = M (w x) for the unweighted sines M whatever the weights w: it is
+    not the inverse of ``adjoint``, so the orthonormality probe rejects a
+    wrong weight.
+
+    The twiddles depend on N alone and are derived from ``len(weights)``;
+    the weights are read at call time. Acts on 1-d vectors and on p x N
+    stacks, each row by its own FFT along the last axis, where numpy's FFT
+    is fastest; complex input is split into its real and imaginary parts.
     """
 
     weights: np.ndarray
+    # i exp(-i theta_k), k = 0..N/2, which turns V* y into the real parts of
+    # bins 1..N/2 and the imaginary parts of bins (N-1)/2..0
+    _twiddle: np.ndarray = field(init=False, repr=False)
+    # conj(_twiddle) over irfft's weight of each bin
+    _gain: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.weights)
+        quarter = np.sin(np.arange(n + 1) * (np.pi / (2 * n)))
+        # sin theta_k + i cos theta_k, the cosine read as sin theta_(N-k)
+        twiddle = quarter[:n // 2 + 1] + 1j * quarter[n:n - n // 2 - 1:-1]
+        # irfft weighs bin 0 and an even N's Nyquist bin by 1 / N, the others by 2 / N
+        gain = twiddle.conj() * (n / 2.0)
+        gain[0] *= 2.0
+        if n % 2 == 0:
+            gain[-1] *= 2.0
+        object.__setattr__(self, "_twiddle", twiddle)
+        object.__setattr__(self, "_gain", gain)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.weights), len(self.weights))
 
     def apply(self, x) -> np.ndarray:
-        """V x: a DST-III of the weighted coefficients."""
+        """V x: a DST-III of the weighted coefficients, the transpose of ``adjoint``."""
         n = len(self.weights)
         x = _checked(x, n)
         if np.iscomplexobj(x):
             return self.apply(x.real) + 1j * self.apply(x.imag)
-        spectrum = np.zeros(x.shape[:-1] + (2 * n + 1,), dtype=complex)
-        # irfft weighs bins 1..2N-1 by 2 / (4N)
-        spectrum.imag[..., 1:n + 1] = x * (-2.0 * n * self.weights)
-        # copied, so that the result does not keep the 4N-point buffer alive
-        return np.fft.irfft(spectrum, n=4 * n, axis=-1)[..., 1:2 * n:2].copy()
+        weighted = x * self.weights
+        spectrum = np.zeros(x.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        spectrum.real[..., 1:] = weighted[..., :n // 2]
+        spectrum.imag[..., (n - 1) // 2::-1] = weighted[..., n // 2:]
+        spectrum *= self._gain
+        reordered = np.fft.irfft(spectrum, n=n, axis=-1)
+        half = (n + 1) // 2
+        out = np.empty_like(reordered)
+        out[..., ::2] = reordered[..., :half]
+        np.negative(reordered[..., half:][..., ::-1], out=out[..., 1::2])
+        return out
 
     def adjoint(self, y) -> np.ndarray:
         """V* y: a DST-II, then the weights."""
@@ -209,9 +244,15 @@ class _SineBasis:
         y = _checked(y, n)
         if np.iscomplexobj(y):
             return self.adjoint(y.real) + 1j * self.adjoint(y.imag)
-        padded = np.zeros(y.shape[:-1] + (4 * n,))
-        padded[..., 1:2 * n:2] = y
-        return np.fft.rfft(padded, axis=-1)[..., 1:n + 1].imag * -self.weights
+        reordered = np.concatenate((y[..., ::2], y[..., 1::2][..., ::-1]), axis=-1, dtype=float)
+        second_half = reordered[..., (n + 1) // 2:]
+        np.negative(second_half, out=second_half)
+        spectrum = np.fft.rfft(reordered, axis=-1)
+        spectrum *= self._twiddle
+        out = np.concatenate((spectrum.real[..., 1:], spectrum.imag[..., (n - 1) // 2::-1]),
+                             axis=-1)
+        out *= self.weights
+        return out
 
 
 def _dst2_factorization(N: int) -> SpectralFactorization:

@@ -214,10 +214,12 @@ def evolution_filter(lam, t):
 
     Accepts scalars or arrays of eigenvalues and of times, broadcast against
     each other. Evaluated through expm1 so tiny t*lam does not cancel; the
-    result always lies in [0, t].
+    result always lies in [0, t]. Complex or non-numeric input, a string of
+    digits included, raises DomainError.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
+    # not copied: a float64 spectrum is read as it is
+    lam_arr = _real(lam, "eigenvalues", copy=False)
+    t_arr = _real(t, "t", copy=False)
     # negated, so that NaN is rejected too
     if not np.all(lam_arr >= 0):
         raise DomainError("eigenvalues must be nonnegative")

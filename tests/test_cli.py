@@ -309,10 +309,26 @@ class TestDerivativeBench:
                 return original(basis, x)
 
             monkeypatch.setattr(problems._SineBasis, name, counted)
+        # every transform is one FFT of length N: adjoint an rfft of N
+        # points, apply an irfft back to N points
+        lengths = {"rfft": [], "irfft": []}
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def recorded_rfft(a, n=None, axis=-1, **kwargs):
+            lengths["rfft"].append(np.shape(a)[axis] if n is None else n)
+            return rfft(a, n=n, axis=axis, **kwargs)
+
+        def recorded_irfft(a, n=None, axis=-1, **kwargs):
+            lengths["irfft"].append(2 * (np.shape(a)[axis] - 1) if n is None else n)
+            return irfft(a, n=n, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded_rfft)
+        monkeypatch.setattr(np.fft, "irfft", recorded_irfft)
         seeds = ",".join(str(seed) for seed in range(10))
         assert main(["derivative-bench", "--N", "10,20", "--seeds", seeds]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 + 2 * 2 * 10
         assert counts == {"apply": 2 * 4, "adjoint": 2 * 3}
+        assert lengths == {"rfft": [10] * 3 + [20] * 3, "irfft": [10] * 4 + [20] * 4}
 
     def test_bad_n_list_exits_2(self, capsys):
         assert main(["derivative-bench", "--N", "10,twenty"]) == 2

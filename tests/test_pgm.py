@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dsmg import GrayImage, MalformedFile, read_pgm, write_pgm
+from dsmg import DimensionMismatch, DomainError, GrayImage, MalformedFile, read_pgm, write_pgm
+from dsmg import deconvolution, linalg
 
 
 def test_single_white_pixel_round_trip(tmp_path):
@@ -34,6 +35,41 @@ def test_random_round_trip_within_quantization(tmp_path):
     write_pgm(image, path)
     back = read_pgm(path)
     assert np.max(np.abs(back.pixels - image.pixels)) <= 1.0 / 255.0
+
+
+@pytest.mark.parametrize("raster", [b"P5\n3 2\n255\n\x00\x11\x22\x33\x44\xff",
+                                    b"P2\n3 2\n255\n0 17 34 51 68 255\n"], ids=["P5", "P2"])
+def test_read_admits_its_raster_once_without_a_copy(raster, tmp_path, monkeypatch):
+    # the decoded raster is new, so the image freezes it in place; the
+    # copying admission of GrayImage(...) is not called
+    admitted = []
+    original = linalg._admitted_fresh
+
+    def recorded(values, name, *args, **kwargs):
+        admitted.append(values)
+        return original(values, name, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("read_pgm copied its raster")
+
+    monkeypatch.setattr(deconvolution, "_admitted_fresh", recorded)
+    monkeypatch.setattr(deconvolution, "_admitted", refused)
+    path = tmp_path / "six.pgm"
+    path.write_bytes(raster)
+    image = read_pgm(path)
+    assert len(admitted) == 1 and image.pixels is admitted[0]
+    assert image.pixels.shape == (2, 3) and not image.pixels.flags.writeable
+    assert np.array_equal(image.pixels * 255.0, [[0, 17, 34], [51, 68, 255]])
+
+
+def test_fresh_admission_keeps_the_checks():
+    with pytest.raises(DimensionMismatch):
+        linalg._admitted_fresh(np.ones(3), "pixels", ndim=2)
+    with pytest.raises(DomainError):
+        linalg._admitted_fresh(np.array([[0.0, np.nan]]), "pixels", ndim=2)
+    fresh = np.ones((2, 2))
+    assert linalg._admitted_fresh(fresh, "pixels", ndim=2) is fresh
+    assert not fresh.flags.writeable
 
 
 def test_out_of_range_values_clamped_on_write(tmp_path):

@@ -275,7 +275,7 @@ class TestSineBasis:
         assert basis.shape == (n, n)
         got = basis.apply(data)
         assert relative_gap(got, data @ dense.T) <= 1e-14
-        # owns its memory: a view would keep the 4N-point FFT buffer alive
+        # owns its memory: a view would keep the FFT buffer alive
         assert got.base is None
         assert relative_gap(basis.adjoint(data), data @ dense) <= 1e-14
 
@@ -287,12 +287,40 @@ class TestSineBasis:
         assert relative_gap(basis.apply(data), dense @ data) <= 1e-14
         assert relative_gap(basis.adjoint(data), dense.T @ data) <= 1e-14
 
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_integer_and_boolean_input_read_as_float(self, dtype):
+        # adjoint negates half of the reordered input, which numpy refuses for bool
+        basis = problems._dst2_factorization(7).v_basis
+        data = np.arange(7) % 2 == 0 if dtype is bool else np.arange(7) - 3
+        dense = dst2_basis(7)
+        assert relative_gap(basis.apply(data), dense @ data) <= 1e-14
+        assert relative_gap(basis.adjoint(data), dense.T @ data) <= 1e-14
+
     @pytest.mark.parametrize("shape", [(1,), (4,), (2, 5), (6, 2), (1, 2, 6)])
     def test_rejects_wrong_shape(self, shape):
         basis = problems._dst2_factorization(6).v_basis
         for method in (basis.apply, basis.adjoint):
             with pytest.raises(DimensionMismatch):
                 method(np.ones(shape))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 801])
+    @pytest.mark.parametrize("rows", [(), (8,)])
+    def test_apply_is_the_transpose_of_adjoint_for_any_weights(self, n, rows):
+        # <V x, y> = <x, V* y> must hold for weights that are not
+        # orthonormal too: an apply that inverts adjoint would pass the
+        # orthonormality probe for every weight
+        rng = np.random.default_rng(n)
+        basis = replace(problems._dst2_factorization(n).v_basis,
+                        weights=rng.uniform(0.1, 3.0, n))
+        x = rng.standard_normal(rows + (n,))
+        y = rng.standard_normal(rows + (n,))
+        left = np.sum(basis.apply(x) * y)
+        right = np.sum(x * basis.adjoint(y))
+        scale = np.linalg.norm(basis.apply(x)) * np.linalg.norm(y)
+        assert abs(left - right) <= 1e-14 * scale
+        dense = dst2_basis(n) / problems._dst2_factorization(n).v_basis.weights * basis.weights
+        assert relative_gap(basis.apply(x), x @ dense.T) <= 1e-14
+        assert relative_gap(basis.adjoint(y), y @ dense) <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 7, 100, 800])
     @pytest.mark.parametrize("wrong", ["last column unscaled", "weights off by 1e-6"])

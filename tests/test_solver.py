@@ -90,6 +90,20 @@ class TestEvolutionFilter:
         with pytest.raises(DomainError):
             evolution_filter(lam, 1.0)
 
+    def test_float_spectrum_is_read_without_a_copy(self, monkeypatch):
+        # a deblur spectrum has 525,312 modes; admitting it must not copy it
+        lam = np.linspace(0.0, 2.0, 7)
+        admitted = []
+        original = solver._real
+
+        def recorded(value, name, **kwargs):
+            admitted.append(original(value, name, **kwargs))
+            return admitted[-1]
+
+        monkeypatch.setattr(solver, "_real", recorded)
+        evolution_filter(lam, 1.0)
+        assert admitted[0] is lam
+
 
 class TestSolutionAt:
     def test_zero_time_zero_start(self):
@@ -885,6 +899,10 @@ NOT_REAL = {
     "solution-at-t": lambda: solution_at(scalar_problem(), 1j),
     "tikhonov-alpha": lambda: tikhonov_solution(scalar_problem(), 1j),
     "tikhonov-object-alpha": lambda: tikhonov_solution(scalar_problem(), object()),
+    "evolution-filter-t": lambda: evolution_filter(1.0, 1j),
+    "evolution-filter-lam": lambda: evolution_filter(1j, 1.0),
+    "evolution-filter-lam-array": lambda: evolution_filter(np.array([1.0, 1j]), 1.0),
+    "evolution-filter-text-t": lambda: evolution_filter(1.0, "2"),
 }
 
 
