@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import _admitted, _admitted_fresh, _require_positive, from_diagonal
+from .linalg import _admitted, _admitted_fresh, _require_positive, _size, from_diagonal
 from .solver import NoisyProblem, SolveReport, StoppingRule, solve
 
 
@@ -157,7 +157,11 @@ def blur_periodic(image: GrayImage, psf: GrayImage) -> GrayImage:
 
 
 def gaussian_psf(height: int, width: int, sigma: float) -> GrayImage:
-    """Periodic Gaussian point-spread function centered at pixel (0, 0), sum 1."""
+    """Periodic Gaussian point-spread function centered at pixel (0, 0), sum 1.
+
+    The sizes must be positive integers, else DomainError.
+    """
+    height, width = _size(height, "height", 1), _size(width, "width", 1)
     _require_positive(sigma, "sigma")
     rows = np.arange(height)
     cols = np.arange(width)
@@ -168,7 +172,11 @@ def gaussian_psf(height: int, width: int, sigma: float) -> GrayImage:
 
 
 def synthetic_target(height: int = 64, width: int = 64) -> GrayImage:
-    """Deterministic deblurring target: a disk, a bar, and point sources."""
+    """Deterministic deblurring target: a disk, a bar, and point sources.
+
+    The sizes must be positive integers, else DomainError.
+    """
+    height, width = _size(height, "height", 1), _size(width, "width", 1)
     img = np.zeros((height, width))
     rows, cols = np.mgrid[0:height, 0:width]
     disk = (rows - height * 0.35) ** 2 + (cols - width * 0.35) ** 2 < (min(height, width) * 0.18) ** 2

@@ -24,7 +24,8 @@ the three kinds apart; every check and product goes through them, A X of a
 checked matrix or operator A included.
 
 One rule admits every input array of the package, ``_admitted``: a frozen
-copy with a checked shape and finite entries. An array that the package has
+copy of a numeric dtype kind, real where the array must be real, with a
+checked shape and finite entries. An array that the package has
 just made itself, such as a decoded PGM raster, passes the same checks in
 ``_admitted_fresh`` and is frozen in place instead of copied. Every
 operation is a pure function, so values can be shared freely across
@@ -77,9 +78,15 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 def _admitted(values, name: str, shape=None, *, ndim=None, dtype=None) -> np.ndarray:
     """A frozen copy of an input array of exactly ``shape``, or else nonempty of ``ndim``.
 
-    Raises DimensionMismatch on another shape and DomainError on a non-finite entry.
+    The dtype kind is checked before any conversion, as ``_real`` checks it:
+    non-numeric input, and complex input where ``dtype`` is float, raise
+    DomainError. Raises DimensionMismatch on another shape and DomainError
+    on a non-finite entry.
     """
-    return _admitted_fresh(np.array(values, dtype=dtype, copy=True), name, shape, ndim=ndim)
+    out = _kind_checked(np.array(values, copy=True), name, real=dtype is float)
+    if dtype is not None:
+        out = out.astype(dtype, copy=False)
+    return _admitted_fresh(out, name, shape, ndim=ndim)
 
 
 def _admitted_fresh(out: np.ndarray, name: str, shape=None, *, ndim=None) -> np.ndarray:
@@ -98,6 +105,17 @@ def _admitted_fresh(out: np.ndarray, name: str, shape=None, *, ndim=None) -> np.
     return out
 
 
+def _kind_checked(values: np.ndarray, name: str, *, real: bool) -> np.ndarray:
+    """values itself if its dtype kind is numeric, and not complex where ``real``; else DomainError.
+
+    The one admission rule for array kinds, read before any conversion.
+    """
+    if values.dtype.kind not in ("biuf" if real else "biufc"):
+        kind = "real" if real else "numeric"
+        raise DomainError(f"{name} must be {kind}, not of dtype {values.dtype}")
+    return values
+
+
 def _real(value, name: str, *, copy: bool = True) -> np.ndarray:
     """value as a float array, fresh unless ``copy`` is False; DomainError unless real.
 
@@ -105,10 +123,15 @@ def _real(value, name: str, *, copy: bool = True) -> np.ndarray:
     non-numeric input, a string of digits included, is rejected, and with
     ``copy=False`` a float64 array is returned as it is.
     """
-    values = np.asarray(value)
-    if values.dtype.kind not in "biuf":
-        raise DomainError(f"{name} must be real, not of dtype {values.dtype}")
-    return values.astype(float, copy=copy)
+    return _kind_checked(np.asarray(value), name, real=True).astype(float, copy=copy)
+
+
+def _size(value, name: str, minimum: int) -> int:
+    """The admission rule of a size or a seed: an integer of at least ``minimum``, or DomainError."""
+    # bool is an int subclass, but a flag is not a size
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DomainError(f"{name}={value!r} must be an integer of at least {minimum}")
+    return int(value)
 
 
 def _require_positive(value, name: str) -> None:
@@ -246,9 +269,9 @@ def factorize_svd(matrix) -> SpectralFactorization:
     test is relative at every scale, subnormal ones included, and neither
     norm underflows; an all-zero A factors. Raises FactorizationFailure if
     the iteration does not converge or the check fails, and DomainError on
-    non-finite input.
+    non-finite input and on non-numeric input.
     """
-    a = np.asarray(matrix)
+    a = _kind_checked(np.asarray(matrix), "matrix", real=False)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got ndim {a.ndim}")
     _require_finite(a, "matrix")

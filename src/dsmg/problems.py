@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import SpectralFactorization, _admitted, _check_reconstruction, _real
+from .linalg import SpectralFactorization, _admitted, _check_reconstruction, _real, _size
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +141,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 < _real(self.delta_rel, "delta_rel") < 1.0:
             raise DomainError(f"delta_rel={self.delta_rel} must lie in (0, 1)")
-        seed = self.seed  # bool is an int subclass, but a flag is not a seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DomainError(f"seed={seed!r} must be a nonnegative integer")
+        _size(self.seed, "seed", 0)
 
 
 def _checked(data, n: int) -> np.ndarray:
@@ -165,10 +163,9 @@ def second_derivative_problem(N: int, u_fn: Callable[[float], float]) -> TestPro
     The solution is sampled at the cell midpoints (i - 1/2) / N and the
     right-hand side is the exact product b = K u, so the pair (u, b) is
     consistent with the operator by construction. No N x N array is built;
-    see ``TestProblem``.
+    see ``TestProblem``. N must be an integer of at least 2, else DomainError.
     """
-    if N < 2:
-        raise DomainError(f"N={N} must be at least 2")
+    N = _size(N, "N", 2)
     return TestProblem(np.array([float(u_fn(point)) for point in _midpoints(N)]))
 
 
@@ -287,8 +284,6 @@ def add_noise(b, spec: NoiseSpec) -> tuple[np.ndarray, float]:
     ``b`` is admitted as a real vector: complex or non-finite data raises
     DomainError, and data of another dimension DimensionMismatch.
     """
-    if np.iscomplexobj(b):
-        raise DomainError("b must be real: the noise model draws real noise")
     b = _admitted(b, "b", ndim=1, dtype=float)
     scale = float(np.linalg.norm(b))
     if scale == 0.0:

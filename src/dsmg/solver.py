@@ -9,17 +9,19 @@ t; Tikhonov keeps 1 / (1 + beta lam_i), decaying at rate lam_i / (1 + beta
 lam_i) in beta = 1 / alpha. So psi = ||A u - f_delta|| and psi' come from
 one kernel, ``_norm_and_slope``, the state from one synthesis
 u = u0 + V (gains * r0), and the parameter from one Newton search on the
-convex, decreasing log psi from 0, ``_newton_on_log_psi``: one pass at 0 and
-one per iteration. ``solve`` also offers the a priori time t = C / delta**gamma.
+convex, decreasing log psi from 0, ``_row_search``: one pass at 0 and one
+per iteration. ``solve`` also offers the a priori time t = C / delta**gamma.
 Both report through ``_outcomes``, with beta as the ``t_delta`` of Tikhonov.
 
 A problem holds one right-hand side or a k x m stack of them, one per row,
 that share the factorization: the noise draws of one experiment. The rows
 are solved together, not one by one. Each basis acts on all rows as one
-stack, each pass damps all rows at their own t, and the Newton search steps
-all rows in lockstep; a row whose search fails is recorded, and the others
-go on. A single right-hand side is the one-row case of the same code: the
-core's per-row arrays are shaped as ``f_delta`` is only by public functions.
+stack and each pass damps all rows at their own t. Each row runs its own
+Newton search in float arithmetic, and ``_newton_on_log_psi`` drives the
+searches of all rows by one pass per step; a row whose search fails is
+recorded, and the others go on. A single right-hand side is the one-row
+case of the same code: the core's per-row arrays are shaped as ``f_delta``
+is only by public functions.
 """
 
 import math
@@ -213,9 +215,10 @@ def evolution_filter(lam, t):
     """Spectral gain (1 - exp(-t*lam)) / lam of the flow, with value t at lam = 0.
 
     Accepts scalars or arrays of eigenvalues and of times, broadcast against
-    each other. Evaluated through expm1 so tiny t*lam does not cancel; the
-    result always lies in [0, t]. Complex or non-numeric input, a string of
-    digits included, raises DomainError.
+    each other; shapes that do not broadcast raise DimensionMismatch.
+    Evaluated through expm1 so tiny t*lam does not cancel; the result always
+    lies in [0, t]. Complex or non-numeric input, a string of digits
+    included, raises DomainError.
     """
     # not copied: a float64 spectrum is read as it is
     lam_arr = _real(lam, "eigenvalues", copy=False)
@@ -225,7 +228,13 @@ def evolution_filter(lam, t):
         raise DomainError("eigenvalues must be nonnegative")
     if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
         raise DomainError(f"t={t} must be nonnegative and finite")
-    gains = np.full(np.broadcast_shapes(lam_arr.shape, t_arr.shape), t_arr)
+    try:
+        shape = np.broadcast_shapes(lam_arr.shape, t_arr.shape)
+    except ValueError:
+        raise DimensionMismatch(
+            f"eigenvalues of shape {lam_arr.shape} and t of shape {t_arr.shape} do not broadcast"
+        ) from None
+    gains = np.full(shape, t_arr)
     # an overflowing t*lam rounds to inf silently, and the gain is then 1 / lam
     with np.errstate(over="ignore"):
         np.divide(-np.expm1(-t_arr * lam_arr), lam_arr, out=gains, where=lam_arr > 0)
@@ -334,114 +343,90 @@ def discrepancy(problem: NoisyProblem, t):
     return problem._shaped(_residual_pass(problem, times)[0])
 
 
-def _map_floats(function, values: np.ndarray) -> np.ndarray:
-    """function of each entry in float arithmetic.
+def _row_search(target: float, floor_of):
+    """Solve psi(t) = target for t > 0 on one row by Newton's method on log psi from t = 0.
 
-    numpy's SIMD log and power can differ from the C library's in the last
-    bit, and the scalar formulas of the search and of the a priori time
-    round as the C library does.
+    A generator: it yields each t to evaluate and is sent psi(t) and psi'(t)
+    as floats. ``floor_of()`` returns inf psi; it is read only if psi(0)
+    exceeds the target. log psi must be convex and decreasing in t: then
+    every Newton step from a point left of the root stays left of it, so the
+    iterates rise monotonically. A step that rounding carries to or past the
+    last t below the target is replaced by bisection between that t and the
+    last point above the target. Returns the root, the iteration count, the
+    rising trace of points above the target ending at the root, psi at the
+    root, and the typed error or None. If psi(0) already meets the target,
+    the result is t = 0 with no iterations; this is the one place that
+    decides it.
     """
-    return np.fromiter(map(function, values.tolist()), dtype=float, count=len(values))
+    t, iterations, points, failure = 0.0, 0, [], None
+    psi, dpsi = yield t
+    if psi <= target:
+        return t, iterations, (t,), psi, failure
+    floor = floor_of()
+    if floor >= target:
+        return t, iterations, (t,), psi, UnattainableDiscrepancy(
+            f"residual floor {floor:.6e} >= C*delta = {target:.6e}; "
+            "C is too small or delta understates the noise"
+        )
+    tol = NEWTON_TOL_REL * target
+    log_target = math.log(target)
+    upper = math.inf  # the last t below the target
+    # negated so that a NaN psi is not converged, and is rejected below
+    while not abs(psi - target) <= tol:
+        if not math.isfinite(psi):
+            failure = DomainError(f"residual norm {psi} at t={t:.6e} overflows double precision")
+        elif iterations == NEWTON_MAX_ITER:
+            failure = IterationBudgetExceeded(
+                f"Newton did not reach |psi - C*delta| <= {tol:.3e} in {NEWTON_MAX_ITER} iterations"
+            )
+        elif psi > target and not dpsi < 0.0:
+            failure = IterationBudgetExceeded(f"residual slope degenerated to {dpsi} at t={t:.6e}")
+        if failure is not None:
+            break
+        iterations += 1
+        if psi > target:
+            lo, lo_psi, lo_dpsi = t, psi, dpsi
+            points.append(t)
+        else:
+            upper = t
+        # log(psi) - log(target), not log(psi / target): the ratio can
+        # overflow; an overflowing step rounds to inf
+        step = lo - (math.log(lo_psi) - log_target) * lo_psi / lo_dpsi
+        if not lo < step < math.inf:
+            failure = IterationBudgetExceeded(f"Newton step from t={lo:.6e} made no progress")
+            break
+        t = 0.5 * (lo + upper) if step >= upper else step
+        psi, dpsi = yield t
+    return t, iterations, (*points, t), psi, failure
 
 
 def _newton_on_log_psi(problem: NoisyProblem, residual_pass, target) -> NewtonResult:
-    """Solve psi(t) = target for t > 0 on every row by Newton's method on log psi from t = 0.
+    """``_row_search`` on every row, its steps driven by lockstep passes.
 
     t is the flow time for the gradient flow and beta = 1 / alpha for
     Tikhonov. ``target`` and ``residual_pass(problem, t)``'s t, psi(t) and
     psi'(t) are arrays of one value per row, psi and psi' from one pass over
-    the spectrum; inf psi is ``problem._floors``. log psi must be convex and
-    decreasing in t: then every Newton step from a point left of the root
-    stays left of it, so the iterates rise monotonically. A step that
-    rounding carries materially past the root is replaced by bisection
-    between the last point above the target and the overshooting one.
-    The rows step in lockstep, one pass per step, with the step, bracket and
-    bisection of each row its own; a row leaves the search when it meets its
-    target or fails. A failing row's typed error is recorded, and the other
-    rows go on. Returns per row the root, the iteration count, the rising
-    trace of points above the target ending at the root, psi at the root,
-    and the error or None. If psi(0) already meets the target, the row's
-    result is t = 0 after that one pass, with no iterations; this is the one
-    place that decides it.
+    the spectrum; inf psi is ``problem._floors``. Every row starts at t = 0
+    and runs its own search in float arithmetic; the rows share one pass per
+    step, so the search makes one pass more than its slowest row's
+    iterations. A row leaves when it meets its target or fails: a failing
+    row's typed error is recorded, and the other rows go on.
     """
-    k = problem._rows
-    failures = [None] * k
-    # t, psi and psi' of every row, updated in place
-    point = np.array([np.zeros(k), *residual_pass(problem, np.zeros(k))])
-    t, psi, dpsi = point
-    active = ~(psi <= target)
-
-    def fail(rows, error):
-        """Record error(r) for each of the active ``rows``, which leave the search."""
-        nonlocal active
-        rows = rows & active
-        if np.count_nonzero(rows):
-            for r in np.flatnonzero(rows):
-                failures[r] = error(r)
-            active = active & ~rows
-
-    if np.count_nonzero(active):
-        floor = problem._floors
-        fail(floor >= target, lambda r: UnattainableDiscrepancy(
-            f"residual floor {floor[r]:.6e} >= C*delta = {target[r]:.6e}; "
-            "C is too small or delta understates the noise"
-        ))
-    tol = NEWTON_TOL_REL * target
-    log_target = _map_floats(math.log, target)
-    # the point of each row last above its target, and the t last below it
-    lower = np.array([np.zeros(k), np.ones(k), -np.ones(k)])
-    upper = np.full(k, math.inf)
-    bracketed = False  # whether any row has stepped below its target yet
-    iterations = np.zeros(k, dtype=int)
-    points, above_marks = [], []
-    while True:
-        # negated so that a NaN psi stays in the search and is rejected there
-        active &= ~(np.abs(psi - target) <= tol)
-        above = psi > target
-        # no row has more iterations than the search has steps
-        spent = len(points) == NEWTON_MAX_ITER
-        if spent or np.count_nonzero(active & ~(np.isfinite(psi) & ((dpsi < 0.0) | ~above))):
-            fail(~np.isfinite(psi), lambda r: DomainError(
-                f"residual norm {psi[r]} at t={t[r]:.6e} overflows double precision"
-            ))
-            fail(iterations == NEWTON_MAX_ITER, lambda r: IterationBudgetExceeded(
-                f"Newton did not reach |psi - C*delta| <= {tol[r]:.3e} "
-                f"in {NEWTON_MAX_ITER} iterations"
-            ))
-            fail(above & ~(dpsi < 0.0), lambda r: IterationBudgetExceeded(
-                f"residual slope degenerated to {dpsi[r]} at t={t[r]:.6e}"
-            ))
-        if not np.count_nonzero(active):
-            break
-        iterations += active
-        above &= active
-        np.copyto(lower, point, where=above)
-        below = active & ~above
-        if np.count_nonzero(below):
-            np.copyto(upper, t, where=below)
-            bracketed = True
-        points.append(t.copy())
-        above_marks.append(above)
-        lo, lo_psi, lo_dpsi = lower
-        # as in float arithmetic, an overflowing step rounds to inf silently
-        with np.errstate(over="ignore"):
-            # log(psi) - log(target), not log(psi / target): the ratio can overflow
-            step = lo - (_map_floats(math.log, lo_psi) - log_target) * lo_psi / lo_dpsi
-            fail(~((lo < step) & (step < math.inf)), lambda r: IterationBudgetExceeded(
-                f"Newton step from t={lo[r]:.6e} made no progress"
-            ))
-            if bracketed:
-                np.copyto(step, 0.5 * (lo + upper), where=step >= upper)
-        if not np.count_nonzero(active):
-            break
-        np.copyto(t, step, where=active)
-        new_psi, new_dpsi = residual_pass(problem, t)
-        np.copyto(psi, new_psi, where=active)
-        np.copyto(dpsi, new_dpsi, where=active)
-    trace = np.array(points + [t])
-    marks = np.array(above_marks + [np.ones(k, dtype=bool)])
-    iterates = tuple(tuple(trace[marks[:, r], r].tolist()) for r in range(k))
-    return NewtonResult(t, iterations, iterates, psi, tuple(failures))
+    searches = {r: _row_search(goal, lambda r=r: float(problem._floors[r]))
+                for r, goal in enumerate(target.tolist())}
+    t = np.array([search.send(None) for search in searches.values()], dtype=float)
+    results = [None] * len(t)
+    while searches:
+        psi, dpsi = (values.tolist() for values in residual_pass(problem, t))
+        for r, search in list(searches.items()):
+            try:
+                t[r] = search.send((psi[r], dpsi[r]))
+            except StopIteration as done:
+                results[r] = done.value
+                del searches[r]
+    roots, iterations, iterates, norms, failures = zip(*results) if results else ((),) * 5
+    return NewtonResult(np.array(roots, dtype=float), np.array(iterations, dtype=int),
+                        iterates, np.array(norms, dtype=float), failures)
 
 
 def _outcomes(problem: NoisyProblem, rule: StoppingRule, found: NewtonResult, solutions, at_start):
@@ -486,7 +471,8 @@ def solve(problem: NoisyProblem, rule: StoppingRule):
     k = problem._rows
     deltas = problem._per_row(problem.delta, "delta")
     if isinstance(rule, AprioriRule):
-        t_stop = _map_floats(lambda delta: rule.C / delta ** rule.gamma, deltas)
+        # in float arithmetic: numpy's SIMD power can differ from the C library's in the last bit
+        t_stop = np.array([rule.C / delta ** rule.gamma for delta in deltas.tolist()])
         failures = tuple(None if math.isfinite(t) else DomainError(
             f"a priori time C / delta**gamma at delta={delta!r} overflows double precision"
         ) for t, delta in zip(t_stop.tolist(), deltas.tolist()))

@@ -20,8 +20,10 @@ from dsmg import (
     add_noise,
     cli,
     factorize_svd,
+    gaussian_psf,
     problems,
     second_derivative_problem,
+    synthetic_target,
 )
 from dsmg.cli import _bench_batch
 from dsmg.linalg import _check_reconstruction
@@ -137,6 +139,31 @@ class TestSecondDerivativeProblem:
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
             second_derivative_problem(1, np.sin)
+
+    # a float N would sample u at (i - 1/2) / N on ceil(N) cells, which
+    # the operator's midpoints do not match
+    BAD_SIZES = {
+        "float-n": lambda: second_derivative_problem(2.5, np.sin),
+        "bool-n": lambda: second_derivative_problem(True, np.sin),
+        "target-empty": lambda: synthetic_target(0, 0),
+        "target-float-width": lambda: synthetic_target(4, 4.0),
+        "psf-float-height": lambda: gaussian_psf(2.5, 4, 1.0),
+        "psf-bool-width": lambda: gaussian_psf(4, True, 1.0),
+    }
+
+    @pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+    def test_sizes_must_be_integers_of_the_minimum(self, call):
+        with pytest.raises(DomainError, match=r"^\w+=.+ must be an integer of at least [12]$"):
+            call()
+
+    def test_numpy_integer_sizes_build_as_python_ints(self):
+        built = (second_derivative_problem(np.int64(7), np.sin).exact_solution,
+                 synthetic_target(np.int32(9), np.int64(8)).pixels,
+                 gaussian_psf(np.uint8(5), np.int16(6), 1.0).pixels)
+        expected = (second_derivative_problem(7, np.sin).exact_solution,
+                    synthetic_target(9, 8).pixels, gaussian_psf(5, 6, 1.0).pixels)
+        for got, want in zip(built, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestMatrixFreeOperator:

@@ -35,7 +35,7 @@ from dsmg import (
     tikhonov_solution,
     vr_solve,
 )
-from dsmg import baselines, solver
+from dsmg import baselines, problems, solver
 from dsmg.cli import _bench_batch
 from dsmg.solver import FLAG_DISCREPANCY_AT_START
 from oracles import (
@@ -78,6 +78,8 @@ class TestEvolutionFilter:
         assert out.shape == (3,)
         assert out[0] == 2.0
         assert abs(out[1] - (1 - math.exp(-2.0))) < 1e-15
+        with pytest.raises(DimensionMismatch, match="do not broadcast"):
+            evolution_filter([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -463,7 +465,7 @@ class TestNewtonFromZero:
 
         def overflowing(p, t):
             psi, dpsi = original(p, t)
-            return (math.nan, dpsi) if t > 0 else (psi, dpsi)
+            return (np.full_like(psi, math.nan), dpsi) if t > 0 else (psi, dpsi)
 
         monkeypatch.setattr(solver, "_residual_pass", overflowing)
         with pytest.raises(DomainError):
@@ -722,6 +724,37 @@ class TestBatch:
         assert counts[0] != counts[1]
         assert len(calls) == max(counts) + 1
 
+    @pytest.mark.parametrize("slope", [1.0, 0.5], ids=["plain", "understated-slope"])
+    def test_stack_row_searches_as_its_single_right_hand_side(self, slope):
+        # row 0 is ordinary, row 1's start already meets C*delta, and row 2
+        # carries data above its target on the zero eigenvalue; a halved
+        # slope, as in test_overshoot_is_bisected_back, doubles each Newton
+        # step, so row 0 steps past its root and is bisected back
+        fact = from_diagonal([2.0, 1.0, 0.5, 0.1, 0.03, 0.0])
+        rhs = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.001], np.full(6, 0.01), np.ones(6)])
+        delta = np.array([0.05, 0.1, 0.05])
+        target = 1.1 * delta
+
+        def residual_pass(p, t):
+            psi, dpsi = solver._residual_pass(p, t)
+            return psi, slope * dpsi
+
+        batch = solver._newton_on_log_psi(NoisyProblem(fact, rhs, delta), residual_pass, target)
+        assert [type(failure) for failure in batch.failures] == [
+            type(None), type(None), UnattainableDiscrepancy]
+        assert batch.iterations[1] == 0 and batch.iterates[1] == (0.0,)
+        # an overshoot is a pass below the target, which the trace leaves out
+        overshot = len(batch.iterates[0]) < batch.iterations[0] + 1
+        assert overshot == (slope != 1.0)
+        for row in range(3):
+            single = solver._newton_on_log_psi(NoisyProblem(fact, rhs[row], delta[row]),
+                                               residual_pass, target[row:row + 1])
+            assert batch.t_delta[row] == single.t_delta[0]
+            assert batch.iterations[row] == single.iterations[0]
+            assert batch.iterates[row] == single.iterates[0]
+            assert batch.residual_norm[row] == single.residual_norm[0]
+            assert type(batch.failures[row]) is type(single.failures[0])
+
     def test_per_row_values_and_states_are_stacked(self):
         fact, rhs, delta = self._sine_batch(range(3))
         problem = NoisyProblem(fact, rhs, delta)
@@ -903,13 +936,30 @@ NOT_REAL = {
     "evolution-filter-lam": lambda: evolution_filter(1j, 1.0),
     "evolution-filter-lam-array": lambda: evolution_filter(np.array([1.0, 1j]), 1.0),
     "evolution-filter-text-t": lambda: evolution_filter(1.0, "2"),
+    # arrays admitted as float: the kind is read before the conversion,
+    # which would fail on text and drop an imaginary part
+    "gray-image-text": lambda: GrayImage([["a"]]),
+    "gray-image-complex": lambda: GrayImage(np.array([[1j]])),
+    "circulant-complex-kernel": lambda: CirculantProblem(np.full(2, 1j), np.ones(2), 0.1),
+    "circulant-complex-observed": lambda: CirculantProblem(np.ones(2), np.full(2, 1j), 0.1),
+    "test-problem-complex": lambda: problems.TestProblem(np.full(3, 1j)),
+}
+
+# arrays that may be complex must still be numeric
+NOT_NUMERIC = {
+    "noisy-problem-text-rhs": lambda: NoisyProblem(from_diagonal([1.0]), ["a"], 0.1),
+    "noisy-problem-text-start": lambda: NoisyProblem(from_diagonal([1.0]), [1.0], 0.1, u0=["a"]),
+    "factorization-text-diag": lambda: SpectralFactorization(None, None, ["a"]),
+    "factorize-svd-text": lambda: factorize_svd([["a"]]),
 }
 
 
-@pytest.mark.parametrize("call", NOT_REAL.values(), ids=NOT_REAL.keys())
-def test_complex_or_non_numeric_value_is_a_domain_error(call):
+@pytest.mark.parametrize("call, kind", [(call, "real") for call in NOT_REAL.values()]
+                         + [(call, "numeric") for call in NOT_NUMERIC.values()],
+                         ids=[*NOT_REAL, *NOT_NUMERIC])
+def test_complex_or_non_numeric_value_is_a_domain_error(call, kind):
     # numpy orders complex numbers lexicographically, so 1j > 0 must not admit it
-    with pytest.raises(DomainError, match=" must be real, not of dtype "):
+    with pytest.raises(DomainError, match=f" must be {kind}, not of dtype "):
         call()
 
 
